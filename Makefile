@@ -80,9 +80,14 @@ bench-trend:
 # of random fault plans and delivery perturbation over the unmodified
 # protocol must find nothing — at a small machine (16 nodes, where
 # every node races on every line) and at the paper's 64-node size.
+# The third leg is a self-check of the corruption hook, including its
+# reschedule-until-stable retry: a planted bogus directory owner must
+# be caught, so the expected exit status is exactly 1 (violations
+# found); 0 (missed) and 2 (usage error) both fail the target.
 chaos:
 	$(GO) run ./cmd/cosmos-chaos -seeds 25 -quick -nodes 16
 	$(GO) run ./cmd/cosmos-chaos -seeds 25 -quick -nodes 64
+	$(GO) run ./cmd/cosmos-chaos -seeds 4 -quick -corrupt dir-owner -o /tmp/chaos-owner >/dev/null; test $$? -eq 1
 
 # One scalesweep cell past the full-map directory's 64-node cliff,
 # with the runtime invariant monitor on: every benchmark simulated at

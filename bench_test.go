@@ -404,21 +404,22 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine measures the event queue in isolation: one At (push)
-// plus its share of Step (pop) per op, over a queue held at a steady
-// depth of 1024 pending events — the regime the protocol keeps the
-// heap in. The typed inline heap must run this allocation-free.
+// BenchmarkEngine measures the event queue in isolation: one Post
+// (push) plus its share of Step (pop and dispatch to a registered
+// no-op handler) per op, over a queue held at a steady depth of 1024
+// pending events — the regime the protocol keeps the scheduler in.
+// The timing wheel must run this allocation-free.
 func BenchmarkEngine(b *testing.B) {
 	var e sim.Engine
-	nop := func() {}
+	nop := sim.EventRec{Kind: e.RegisterHandler(func(sim.EventRec) {})}
 	const depth = 1024
 	for i := 0; i < depth; i++ {
-		e.At(sim.Time(i), nop)
+		e.Post(sim.Time(i), nop)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+sim.Time(i%64), nop)
+		e.Post(e.Now()+sim.Time(i%64), nop)
 		e.Step()
 	}
 }

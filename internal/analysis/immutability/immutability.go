@@ -2,11 +2,12 @@
 // message handed to a send path as frozen.
 //
 // The network and the reliable transport retain sent messages: the
-// network schedules delivery closures over them, and the transport
-// buffers them for retransmission. A sender that mutates a message
-// variable after passing it to Send/SendPacket is therefore writing to
-// state the interconnect may still read — exactly the forwarded-data-
-// racing-post-ack-writes bug class the PR-1 fault work had to chase.
+// network carries each one inside its delivery event, and the
+// transport buffers them for retransmission. A sender that mutates a
+// message variable after passing it to Send/SendPacket is therefore
+// writing to state the interconnect may still read — exactly the
+// forwarded-data-racing-post-ack-writes bug class the fault-injection
+// work had to chase.
 // Because coherence.Msg is currently a small value struct the race is
 // latent rather than live, but the invariant keeps it that way as the
 // message grows reference fields (payload slices, ack lists).

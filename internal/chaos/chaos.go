@@ -276,8 +276,9 @@ func randomScript(r *rand.Rand, cfg Config) (*workload.Script, []coherence.Addr)
 // assertions before the monitor's next sweep, and the point of the
 // self-check is to watch the *monitor* catch silent disagreement — so
 // if every pool block is mid-transaction it retries a little later
-// (deterministically), giving up after a bounded number of attempts.
-func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts int) {
+// (deterministically) by reposting rec, the corruption event itself,
+// with one attempt fewer left in its Seq, giving up at zero.
+func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, rec sim.EventRec) {
 	stable := func(e stache.EntryInfo) bool {
 		if cfg.Corrupt == CorruptSpecDangling {
 			// A planted speculative reader beside an exclusive owner
@@ -300,8 +301,9 @@ func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts in
 			break
 		}
 	}
-	if !found && cfg.Corrupt != CorruptCacheWriter && attempts > 0 {
-		m.Engine().After(200, func() { corrupt(m, cfg, addrs, attempts-1) })
+	if !found && cfg.Corrupt != CorruptCacheWriter && rec.Seq > 0 {
+		rec.Seq--
+		m.Engine().PostAfter(200, rec)
 		return
 	}
 	geom := m.Geometry()
@@ -349,8 +351,9 @@ func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts in
 			planted = true
 			break
 		}
-		if !planted && attempts > 0 {
-			m.Engine().After(200, func() { corrupt(m, cfg, addrs, attempts-1) })
+		if !planted && rec.Seq > 0 {
+			rec.Seq--
+			m.Engine().PostAfter(200, rec)
 		}
 	default:
 		panic(fmt.Sprintf("chaos: unknown corrupt mode %q", cfg.Corrupt))
@@ -436,7 +439,8 @@ func RunSeed(cfg Config, seed int64) (res Result) {
 		})
 	}
 	if cfg.Corrupt != CorruptNone {
-		m.Engine().After(sim.Time(cfg.CorruptAtNs), func() { corrupt(m, cfg, addrs, 64) })
+		kind := m.Engine().RegisterHandler(func(rec sim.EventRec) { corrupt(m, cfg, addrs, rec) })
+		m.Engine().PostAfter(sim.Time(cfg.CorruptAtNs), sim.EventRec{Kind: kind, Seq: 64})
 	}
 
 	err = m.Run(cfg.MaxEvents)

@@ -25,14 +25,20 @@ func harness(t *testing.T, plan faults.Plan, maxRetries int) (*sim.Engine, *netw
 	return engine, nw, New(engine, nw, cfg)
 }
 
+// injector registers on e a kind whose handler sends the message
+// carried inline in the event through tr, and returns a function that
+// schedules such a send at a chosen simulated time.
+func injector(e *sim.Engine, tr *Transport) func(at sim.Time, m coherence.Msg) {
+	kind := e.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	return func(at sim.Time, m coherence.Msg) { e.Post(at, sim.EventRec{Kind: kind, Msg: m}) }
+}
+
 // sendStream schedules n messages on src->dst, one every gap ns, with
 // the index encoded in the address.
 func sendStream(e *sim.Engine, tr *Transport, src, dst coherence.NodeID, n int, gap sim.Time) {
+	sendAt := injector(e, tr)
 	for i := 0; i < n; i++ {
-		i := i
-		e.At(sim.Time(i)*gap, func() {
-			tr.Send(coherence.Msg{Src: src, Dst: dst, Type: coherence.GetROReq, Addr: coherence.Addr((i + 1) * 64)})
-		})
+		sendAt(sim.Time(i)*gap, coherence.Msg{Src: src, Dst: dst, Type: coherence.GetROReq, Addr: coherence.Addr((i + 1) * 64)})
 	}
 }
 
@@ -244,9 +250,7 @@ func deadLinkHarness(t *testing.T, timeout, cap sim.Time, maxRetries int) (*sim.
 	tr := New(engine, nw, cfg)
 	tr.Bind(0, func(coherence.Msg) {})
 	tr.Bind(1, func(coherence.Msg) {})
-	engine.At(0, func() {
-		tr.Send(coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: 64})
-	})
+	injector(engine, tr)(0, coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: 64})
 	if _, err := engine.Run(0); err != nil {
 		t.Fatal(err)
 	}

@@ -102,31 +102,21 @@ func (c *Client) Done() bool {
 	return c.err == nil && c.sent == len(c.obs) && len(c.Recv) == len(c.obs)
 }
 
-// attach wires the client to a (possibly fresh) engine and transport
-// and schedules its sender.
+// attach wires the client to a (possibly fresh) engine and transport.
 func (c *Client) attach(eng *sim.Engine, tr *reliable.Transport) {
 	c.eng, c.tr = eng, tr
 	tr.Bind(coherence.NodeID(c.ID), c.onMsg)
-	c.scheduleSend()
 }
 
-func (c *Client) scheduleSend() {
-	if c.sent >= len(c.obs) {
-		return
+// send puts the client's next observation on the wire.
+func (c *Client) send() {
+	o := c.obs[c.sent]
+	for len(c.sendAt) <= c.sent {
+		c.sendAt = append(c.sendAt, 0)
 	}
-	c.eng.After(c.gap, func() {
-		if c.sent >= len(c.obs) {
-			return
-		}
-		o := c.obs[c.sent]
-		for len(c.sendAt) <= c.sent {
-			c.sendAt = append(c.sendAt, 0)
-		}
-		c.sendAt[c.sent] = c.eng.Now()
-		c.tr.Send(obsMsg(coherence.NodeID(c.ID), c.server, o.Addr, o.Tup))
-		c.sent++
-		c.scheduleSend()
-	})
+	c.sendAt[c.sent] = c.eng.Now()
+	c.tr.Send(obsMsg(coherence.NodeID(c.ID), c.server, o.Addr, o.Tup))
+	c.sent++
 }
 
 func (c *Client) onMsg(m coherence.Msg) {
@@ -221,6 +211,18 @@ func (c *Cluster) start() error {
 		return err
 	}
 	c.Eng, c.Tr, c.Srv = eng, tr, srv
+	// One send kind paces every client: its event sends the next
+	// observation of the client named in Src, then reposts itself a
+	// gap later while that client has more to send.
+	pace := func(rec sim.EventRec) {
+		if cl := c.Clients[rec.Src]; cl.sent < len(cl.obs) {
+			eng.PostAfter(cl.gap, rec)
+		}
+	}
+	kindSend := eng.RegisterHandler(func(rec sim.EventRec) {
+		c.Clients[rec.Src].send()
+		pace(rec)
+	})
 	for _, cl := range c.Clients {
 		cursor, err := srv.Resync(cl.ID, uint64(len(cl.Recv)))
 		if err != nil {
@@ -228,6 +230,7 @@ func (c *Cluster) start() error {
 		}
 		cl.sent = int(cursor)
 		cl.attach(eng, tr)
+		pace(sim.EventRec{Kind: kindSend, Src: coherence.NodeID(cl.ID)})
 	}
 	return nil
 }

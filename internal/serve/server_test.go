@@ -134,9 +134,23 @@ func TestRecoveredStateIsByteIdentical(t *testing.T) {
 	assertMatchesOracle(t, c, workload)
 }
 
+// injectWire is a test's handle on the transport: the transport itself
+// plus an event kind whose handler sends the message carried inline in
+// the event, so crafted frames can be put on the wire at chosen times.
+type injectWire struct {
+	*reliable.Transport
+	eng    *sim.Engine
+	inject sim.EventKind
+}
+
+// sendAt sends m at simulated time at.
+func (w injectWire) sendAt(at sim.Time, m coherence.Msg) {
+	w.eng.Post(at, sim.EventRec{Kind: w.inject, Msg: m})
+}
+
 // rawHarness builds an engine/wire/transport/server stack without
 // harness clients, for tests that drive crafted frames directly.
-func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.Transport, *Server) {
+func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, injectWire, *Server) {
 	t.Helper()
 	simCfg := sim.DefaultConfig()
 	simCfg.Nodes = clients + 1
@@ -159,14 +173,14 @@ func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, tr, srv
+	w := injectWire{Transport: tr, eng: eng}
+	w.inject = eng.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	return eng, w, srv
 }
 
-func sendObs(eng *sim.Engine, tr *reliable.Transport, at sim.Time, stream int, server coherence.NodeID, addr coherence.Addr) {
-	eng.At(at, func() {
-		tr.Send(obsMsg(coherence.NodeID(stream), server, addr,
-			coherence.Tuple{Sender: 1, Type: coherence.GetROReq}))
-	})
+func sendObs(tr injectWire, at sim.Time, stream int, server coherence.NodeID, addr coherence.Addr) {
+	tr.sendAt(at, obsMsg(coherence.NodeID(stream), server, addr,
+		coherence.Tuple{Sender: 1, Type: coherence.GetROReq}))
 }
 
 // TestBackpressureShedsDeterministically floods a tiny queue from
@@ -183,12 +197,12 @@ func TestBackpressureShedsDeterministically(t *testing.T) {
 		// anything is processed: 12 arrivals into a queue of 4.
 		for i := 0; i < 4; i++ {
 			for s := 0; s < 3; s++ {
-				sendObs(eng, tr, sim.Time(100*(3*i+s)+1), s, srv.cfg.Node, coherence.Addr(64*i))
+				sendObs(tr, sim.Time(100*(3*i+s)+1), s, srv.cfg.Node, coherence.Addr(64*i))
 			}
 		}
 		// A query from the highest-priority stream while the queue is
 		// full of observations: it must be shed, not an observation.
-		eng.At(2_000, func() { tr.Send(queryMsg(0, srv.cfg.Node, 0)) })
+		tr.sendAt(2_000, queryMsg(0, srv.cfg.Node, 0))
 		if _, err := eng.Run(0); err != nil {
 			return Stats{}, err
 		}
@@ -234,7 +248,7 @@ func TestShedThenResyncRecoversStream(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 1, ProcessNs: 10_000}
 	eng, tr, srv := rawHarness(t, cfg, 1)
 	for i := 0; i < 4; i++ {
-		sendObs(eng, tr, sim.Time(100*(i+1)), 0, srv.cfg.Node, 0)
+		sendObs(tr, sim.Time(100*(i+1)), 0, srv.cfg.Node, 0)
 	}
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
@@ -250,7 +264,7 @@ func TestShedThenResyncRecoversStream(t *testing.T) {
 	if srv.Lagging(0) {
 		t.Fatal("Resync left the stream lagging")
 	}
-	sendObs(eng, tr, eng.Now()+100, 0, srv.cfg.Node, 64)
+	sendObs(tr, eng.Now()+100, 0, srv.cfg.Node, 64)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +282,7 @@ func TestDeadlineTimesOutStaleWork(t *testing.T) {
 	// Four near-simultaneous observations: by the time the third would
 	// be served (t≈15000) it has waited 3×ProcessNs > DeadlineNs.
 	for i := 0; i < 4; i++ {
-		sendObs(eng, tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
+		sendObs(tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
 	}
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
@@ -296,12 +310,12 @@ func TestTimeoutDropsQueuedObservations(t *testing.T) {
 	// entry 2 times out at the head (waited ~15000 > 12000) and sets
 	// lagging, entry 3 expires behind it.
 	for i := 0; i < 4; i++ {
-		sendObs(eng, tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
+		sendObs(tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
 	}
 	// Entry 4 arrives late enough to still be fresh (~6000ns old) when
 	// it reaches the head at t≈25000: without the lagging check it would
 	// be applied over the hole entry 2 left.
-	sendObs(eng, tr, 19_000, 0, srv.cfg.Node, coherence.Addr(256))
+	sendObs(tr, 19_000, 0, srv.cfg.Node, coherence.Addr(256))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -328,10 +342,10 @@ func TestTimeoutDropsQueuedObservations(t *testing.T) {
 func TestShedKeepsPreBreakObservations(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 2, ProcessNs: 10_000}
 	eng, tr, srv := rawHarness(t, cfg, 1)
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)      // applies from the head
-	sendObs(eng, tr, 200, 0, srv.cfg.Node, 64)     // queued before the break
-	sendObs(eng, tr, 300, 0, srv.cfg.Node, 128)    // overflows: shed, the hole
-	sendObs(eng, tr, 25_000, 0, srv.cfg.Node, 192) // post-break arrival: dropped
+	sendObs(tr, 100, 0, srv.cfg.Node, 0)      // applies from the head
+	sendObs(tr, 200, 0, srv.cfg.Node, 64)     // queued before the break
+	sendObs(tr, 300, 0, srv.cfg.Node, 128)    // overflows: shed, the hole
+	sendObs(tr, 25_000, 0, srv.cfg.Node, 192) // post-break arrival: dropped
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -362,9 +376,9 @@ func TestTimedOutQueryAnswersWithTimeoutFrame(t *testing.T) {
 	// Three observations ahead of the query: by the time the query
 	// reaches the head it has waited ~20000ns, far past the deadline.
 	for i := 0; i < 3; i++ {
-		sendObs(eng, tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
+		sendObs(tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
 	}
-	eng.At(110, func() { tr.Send(queryMsg(0, srv.cfg.Node, 0)) })
+	tr.sendAt(110, queryMsg(0, srv.cfg.Node, 0))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +423,7 @@ func TestWatchdogReportsStall(t *testing.T) {
 	var cbErr error
 	srv.OnFailure(func(err error) { cbErr = err })
 	srv.stalled = true // the test hook: freeze the worker
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)
+	sendObs(tr, 100, 0, srv.cfg.Node, 0)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +439,7 @@ func TestWatchdogReportsStall(t *testing.T) {
 	// The watchdog must not keep a healthy drained server alive: a
 	// fresh server that finishes its work lets the engine go quiet.
 	eng2, tr2, srv2 := rawHarness(t, cfg, 1)
-	sendObs(eng2, tr2, 100, 0, srv2.cfg.Node, 0)
+	sendObs(tr2, 100, 0, srv2.cfg.Node, 0)
 	if _, err := eng2.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +455,9 @@ func TestWatchdogReportsStall(t *testing.T) {
 func TestAckAheadOfRecoveredCursorClamps(t *testing.T) {
 	cfg := Config{Predictor: testPredictor}
 	eng, tr, srv := rawHarness(t, cfg, 1)
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)
-	sendObs(eng, tr, 200, 0, srv.cfg.Node, 64)
-	eng.At(1_000, func() { tr.Send(ackMsg(0, srv.cfg.Node, 5)) })
+	sendObs(tr, 100, 0, srv.cfg.Node, 0)
+	sendObs(tr, 200, 0, srv.cfg.Node, 64)
+	tr.sendAt(1_000, ackMsg(0, srv.cfg.Node, 5))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +470,7 @@ func TestAckAheadOfRecoveredCursorClamps(t *testing.T) {
 	}
 	// The next applied observation retains its response again (acked
 	// was clamped to 2, not left at 5).
-	sendObs(eng, tr, eng.Now()+100, 0, srv.cfg.Node, 128)
+	sendObs(tr, eng.Now()+100, 0, srv.cfg.Node, 128)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -479,11 +493,11 @@ func TestQueryAnswersWithoutObserving(t *testing.T) {
 	})
 	// Three identical observations: with Depth 2 the third installs
 	// the PHT entry for the now-current history, making 0 predictable.
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)
-	sendObs(eng, tr, 200, 0, srv.cfg.Node, 0)
-	sendObs(eng, tr, 300, 0, srv.cfg.Node, 0)
-	eng.At(1_000, func() { tr.Send(queryMsg(0, srv.cfg.Node, 0)) })
-	eng.At(1_100, func() { tr.Send(queryMsg(0, srv.cfg.Node, 4096)) })
+	sendObs(tr, 100, 0, srv.cfg.Node, 0)
+	sendObs(tr, 200, 0, srv.cfg.Node, 0)
+	sendObs(tr, 300, 0, srv.cfg.Node, 0)
+	tr.sendAt(1_000, queryMsg(0, srv.cfg.Node, 0))
+	tr.sendAt(1_100, queryMsg(0, srv.cfg.Node, 4096))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}

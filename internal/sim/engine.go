@@ -8,6 +8,9 @@
 // processed in the order they were scheduled (FIFO by a monotonically
 // increasing sequence number), never by map iteration or heap caprice.
 //
+// Work is scheduled one way: Post a value-typed, pointer-free EventRec
+// whose kind routes to a handler registered on the engine (event.go).
+//
 // The scheduler is split by horizon. Near-future events — the
 // overwhelming majority, since NI and wire latencies are small
 // constants — go into a timing wheel: wheelSpan slots of one
@@ -33,16 +36,13 @@ type Time uint64
 // String renders times in nanoseconds.
 func (t Time) String() string { return fmt.Sprintf("%dns", uint64(t)) }
 
-// Event is a unit of scheduled work on the closure compatibility path.
-type Event func()
-
-// item is one entry in the scheduler. Exactly one of fn and rec is
-// live: fn for compatibility-path closures, rec (fn == nil) for
-// value-typed events.
+// item is one entry in the scheduler: a value-typed event stamped with
+// its firing time and FIFO sequence number. It holds no pointers, so
+// the wheel's backing array and the overflow heap are memory the
+// garbage collector never scans.
 type item struct {
 	at  Time
 	seq uint64
-	fn  Event
 	rec EventRec
 }
 
@@ -59,7 +59,7 @@ func (a item) less(b item) bool {
 // eventHeap is a binary min-heap ordered by (time, seq). It is
 // hand-inlined rather than built on container/heap: the standard
 // interface forces every Push/Pop through an `any` box, which
-// allocates per scheduled event and dominated Engine.At/Step profiles.
+// allocates per scheduled event and dominated Post/Step profiles.
 // The typed version runs the same sift algorithm with zero
 // allocations beyond slice growth.
 type eventHeap []item
@@ -94,7 +94,6 @@ func (h *eventHeap) pop() item {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = item{} // release the event closure for the GC
 	q = q[:n]
 	i := 0
 	for {
@@ -130,7 +129,11 @@ const (
 	// slotCap0 is the initial per-slot capacity, carved out of one
 	// shared backing array at wheel setup: a slot that never holds more
 	// than slotCap0 simultaneous events never allocates on its own.
-	slotCap0 = 4
+	// It is odd on purpose: with 64-byte items, growth from 4 doubles
+	// through power-of-two arrays aligned to their size, putting the
+	// same index of every slot in one cache set (BenchmarkEngine ran
+	// three times slower).
+	slotCap0 = 5
 )
 
 // wheelSlot is one wheel bucket: an append-ordered run of items with
@@ -225,12 +228,18 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 	return at, ok
 }
 
-// schedule is the common path under At and Post: enforce causality,
-// stamp the FIFO sequence number, apply any perturbation, and route
-// the item to the wheel or the overflow heap by horizon.
+// Post schedules a value-typed event at absolute time at. Events fire
+// in (time, seq) order — FIFO within an instant. Scheduling in the
+// past is a programming error and panics, because it would silently
+// reorder causality; so does posting an unregistered kind. Post stamps
+// the sequence number, applies any perturbation, and routes the item
+// to the wheel or the overflow heap by horizon.
 //
 //cosmosvet:hotpath
-func (e *Engine) schedule(at Time, fn Event, rec EventRec) {
+func (e *Engine) Post(at Time, rec EventRec) {
+	if int(rec.Kind) >= len(e.handlers) {
+		panic(fmt.Sprintf("sim: Post with unregistered event kind %d", rec.Kind))
+	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
@@ -238,7 +247,7 @@ func (e *Engine) schedule(at Time, fn Event, rec EventRec) {
 	if e.perturb != nil {
 		at += e.perturb(at, e.seq)
 	}
-	it := item{at: at, seq: e.seq, fn: fn, rec: rec}
+	it := item{at: at, seq: e.seq, rec: rec}
 	if !e.heapOnly && at-e.now < wheelSpan {
 		if e.slots == nil {
 			e.initWheel()
@@ -248,6 +257,11 @@ func (e *Engine) schedule(at Time, fn Event, rec EventRec) {
 	}
 	e.overflow.push(it)
 }
+
+// PostAfter schedules a value-typed event delay nanoseconds from now.
+//
+//cosmosvet:hotpath
+func (e *Engine) PostAfter(delay Time, rec EventRec) { e.Post(e.now+delay, rec) }
 
 // initWheel performs the one-time lazy wheel allocation: the slot
 // table, the occupancy bitmap, and one shared backing array carved
@@ -318,7 +332,6 @@ func (e *Engine) wheelPeek() (idx int, ok bool) {
 func (e *Engine) wheelPop(idx int) item {
 	s := &e.slots[idx]
 	it := s.items[s.head]
-	s.items[s.head] = item{} // release the event closure for the GC
 	s.head++
 	if s.head == len(s.items) {
 		s.items = s.items[:0]
@@ -347,19 +360,6 @@ func (e *Engine) pop() item {
 	return e.wheelPop(idx)
 }
 
-// At schedules fn to run at absolute time at. Scheduling in the past is
-// a programming error and panics, because it would silently reorder
-// causality. At is the compatibility path for cold callers (watchdogs,
-// chaos hooks, tests); hot schedulers use Post with value-typed events.
-//
-//cosmosvet:hotpath
-func (e *Engine) At(at Time, fn Event) { e.schedule(at, fn, EventRec{}) }
-
-// After schedules fn to run delay nanoseconds from now.
-//
-//cosmosvet:hotpath
-func (e *Engine) After(delay Time, fn Event) { e.At(e.now+delay, fn) }
-
 // Halt stops Run before the next event fires. Events already scheduled
 // remain queued.
 func (e *Engine) Halt() { e.halted = true }
@@ -375,11 +375,7 @@ func (e *Engine) Step() bool {
 	it := e.pop()
 	e.now = it.at
 	e.fired++
-	if it.fn != nil {
-		it.fn()
-	} else {
-		e.handlers[it.rec.Kind](it.rec)
-	}
+	e.handlers[it.rec.Kind](it.rec)
 	return true
 }
 

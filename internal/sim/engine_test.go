@@ -8,16 +8,26 @@ import (
 	"testing/quick"
 )
 
+// recordSeq registers a handler that appends each fired event's Seq
+// tag to *got, and returns its kind.
+func recordSeq(e *Engine, got *[]uint64) EventKind {
+	return e.RegisterHandler(func(rec EventRec) { *got = append(*got, rec.Seq) })
+}
+
+// nopKind registers a handler that does nothing.
+func nopKind(e *Engine) EventKind { return e.RegisterHandler(func(EventRec) {}) }
+
 func TestEngineOrdersByTime(t *testing.T) {
 	var e Engine
-	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	var got []uint64
+	k := recordSeq(&e, &got)
+	e.Post(30, EventRec{Kind: k, Seq: 3})
+	e.Post(10, EventRec{Kind: k, Seq: 1})
+	e.Post(20, EventRec{Kind: k, Seq: 2})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 2, 3}
+	want := []uint64{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
@@ -31,16 +41,19 @@ func TestEngineOrdersByTime(t *testing.T) {
 func TestEngineFIFOAtSameInstant(t *testing.T) {
 	// Events at the same timestamp must fire in scheduling order.
 	var e Engine
-	var got []int
+	var got []uint64
+	k := recordSeq(&e, &got)
 	for i := 0; i < 100; i++ {
-		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.Post(5, EventRec{Kind: k, Seq: uint64(i)})
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != 100 {
+		t.Fatalf("fired %d events, want 100", len(got))
+	}
 	for i, v := range got {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("same-instant events reordered: got[%d] = %d", i, v)
 		}
 	}
@@ -49,11 +62,13 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
 	var trace []Time
-	e.At(10, func() {
+	leaf := e.RegisterHandler(func(EventRec) { trace = append(trace, e.Now()) })
+	outer := e.RegisterHandler(func(EventRec) {
 		trace = append(trace, e.Now())
-		e.After(5, func() { trace = append(trace, e.Now()) })
-		e.After(0, func() { trace = append(trace, e.Now()) })
+		e.PostAfter(5, EventRec{Kind: leaf})
+		e.PostAfter(0, EventRec{Kind: leaf})
 	})
+	e.Post(10, EventRec{Kind: outer})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +85,16 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	var e Engine
-	e.At(10, func() {
+	nop := nopKind(&e)
+	outer := e.RegisterHandler(func(EventRec) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		e.Post(5, EventRec{Kind: nop})
 	})
+	e.Post(10, EventRec{Kind: outer})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +103,8 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 func TestEngineBudget(t *testing.T) {
 	var e Engine
 	// A self-perpetuating event: would run forever without a budget.
-	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.At(0, tick)
+	tick := e.RegisterHandler(func(rec EventRec) { e.PostAfter(1, rec) })
+	e.Post(0, EventRec{Kind: tick})
 	fired, err := e.Run(100)
 	if err == nil {
 		t.Fatal("expected budget-exhausted error")
@@ -101,13 +117,14 @@ func TestEngineBudget(t *testing.T) {
 func TestEngineHalt(t *testing.T) {
 	var e Engine
 	count := 0
+	k := e.RegisterHandler(func(EventRec) {
+		count++
+		if count == 3 {
+			e.Halt()
+		}
+	})
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
+		e.Post(Time(i), EventRec{Kind: k})
 	}
 	fired, err := e.Run(0)
 	if err != nil {
@@ -123,10 +140,10 @@ func TestEngineHalt(t *testing.T) {
 
 func TestEngineRunUntil(t *testing.T) {
 	var e Engine
-	var got []Time
+	var got []uint64
+	k := recordSeq(&e, &got)
 	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.Post(at, EventRec{Kind: k, Seq: uint64(at)})
 	}
 	e.RunUntil(12)
 	if len(got) != 2 || got[0] != 5 || got[1] != 10 {
@@ -158,11 +175,11 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 			ins int
 		}
 		var fired []key
+		k := e.RegisterHandler(func(rec EventRec) { fired = append(fired, key{e.Now(), int(rec.Seq)}) })
 		for i, raw := range times {
-			at, i := Time(raw), i
-			e.At(at, func() { fired = append(fired, key{at, i}) })
+			e.Post(Time(raw), EventRec{Kind: k, Seq: uint64(i)})
 		}
-		if _, err := e.Run(0); err != nil {
+		if _, err := e.Run(0); err != nil || len(fired) != len(times) {
 			return false
 		}
 		return sort.SliceIsSorted(fired, func(a, b int) bool {
@@ -256,9 +273,8 @@ func TestMessageLatency(t *testing.T) {
 
 func TestEngineBudgetErrorDiagnostics(t *testing.T) {
 	var e Engine
-	var tick func()
-	tick = func() { e.After(7, tick) }
-	e.At(0, tick)
+	tick := e.RegisterHandler(func(rec EventRec) { e.PostAfter(7, rec) })
+	e.Post(0, EventRec{Kind: tick})
 	_, err := e.Run(10)
 	if err == nil {
 		t.Fatal("expected budget-exhausted error")
@@ -284,8 +300,9 @@ func TestEngineNextAt(t *testing.T) {
 	if _, ok := e.NextAt(); ok {
 		t.Error("NextAt on an empty queue reports ok")
 	}
-	e.At(30, func() {})
-	e.At(10, func() {})
+	nop := nopKind(&e)
+	e.Post(30, EventRec{Kind: nop})
+	e.Post(10, EventRec{Kind: nop})
 	if at, ok := e.NextAt(); !ok || at != 10 {
 		t.Errorf("NextAt = %v,%v, want 10,true", at, ok)
 	}
@@ -293,7 +310,8 @@ func TestEngineNextAt(t *testing.T) {
 
 func TestEngineTopLevelPastSchedulingPanics(t *testing.T) {
 	var e Engine
-	e.At(10, func() {})
+	nop := nopKind(&e)
+	e.Post(10, EventRec{Kind: nop})
 	if !e.Step() {
 		t.Fatal("Step fired nothing")
 	}
@@ -302,14 +320,15 @@ func TestEngineTopLevelPastSchedulingPanics(t *testing.T) {
 			t.Error("scheduling at t=5 with now=10 did not panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.Post(5, EventRec{Kind: nop})
 }
 
 func TestEngineRunUntilPastDeadlineDrains(t *testing.T) {
 	var e Engine
 	fired := 0
+	k := e.RegisterHandler(func(EventRec) { fired++ })
 	for _, at := range []Time{5, 10, 15} {
-		e.At(at, func() { fired++ })
+		e.Post(at, EventRec{Kind: k})
 	}
 	// A deadline beyond every queued event drains the queue and then
 	// advances the clock to the deadline, not just to the last event.

@@ -3,14 +3,15 @@
 // per-message closures (network delivery, retransmit timers, processor
 // issue steps) dominated the allocation profile — roughly 3.7 heap
 // allocations per coherence message — and GC pressure became a shared
-// tax on every worker in the parallel pool. The hot schedulers now
-// describe work as an EventRec: a small kind discriminator plus a
+// tax on every worker in the parallel pool. Every scheduler now
+// describes work as an EventRec: a small kind discriminator plus a
 // receiver index and an inline coherence.Msg-sized payload, dispatched
-// through a fixed handler table the machine registers at construction.
+// through a fixed handler table its owner registers at construction.
 // EventRecs are plain values, copied into the timing wheel / overflow
 // heap and back out; steady state schedules and fires them without
-// touching the allocator. Engine.At remains as the compatibility path
-// for cold callers (watchdogs, chaos corruption hooks, tests).
+// touching the allocator. Post is the only way to schedule: cold
+// callers (watchdogs, chaos corruption hooks, client pacing) register
+// a kind of their own like everyone else.
 package sim
 
 import (
@@ -55,9 +56,10 @@ type EventRec struct {
 const maxHandlers = 1 << 8
 
 // RegisterHandler installs h in the engine's fixed dispatch table and
-// returns the kind that routes to it. Handlers are registered at
-// machine construction, before the first event fires; registration is
-// append-only, so a kind stays valid for the engine's lifetime.
+// returns the kind that routes to it. Each owner (the machine, the
+// network, a server, a chaos hook) registers its handlers when it is
+// built; registration is append-only, so a kind stays valid for the
+// engine's lifetime.
 func (e *Engine) RegisterHandler(h Handler) EventKind {
 	if h == nil {
 		panic("sim: RegisterHandler(nil)")
@@ -68,20 +70,3 @@ func (e *Engine) RegisterHandler(h Handler) EventKind {
 	e.handlers = append(e.handlers, h)
 	return EventKind(len(e.handlers) - 1)
 }
-
-// Post schedules a value-typed event at absolute time at, under the
-// same ordering contract as At: (time, seq) FIFO, panicking on
-// scheduling in the past or on an unregistered kind.
-//
-//cosmosvet:hotpath
-func (e *Engine) Post(at Time, rec EventRec) {
-	if int(rec.Kind) >= len(e.handlers) {
-		panic(fmt.Sprintf("sim: Post with unregistered event kind %d", rec.Kind))
-	}
-	e.schedule(at, nil, rec)
-}
-
-// PostAfter schedules a value-typed event delay nanoseconds from now.
-//
-//cosmosvet:hotpath
-func (e *Engine) PostAfter(delay Time, rec EventRec) { e.Post(e.now+delay, rec) }
