@@ -96,6 +96,16 @@ func warm(b *testing.B, s *experiments.Suite) {
 	}
 }
 
+// freshEvals returns a suite over s's captured traces with an empty
+// evaluation memo, built outside the timer: the suite memoizes every
+// evaluation, so without it each timed iteration after the first (and
+// every sub-benchmark after the first) would measure memo hits.
+func freshEvals(b *testing.B, s *experiments.Suite) *experiments.Suite {
+	b.StopTimer()
+	defer b.StartTimer()
+	return s.Fresh()
+}
+
 // BenchmarkTable5 regenerates Table 5 (prediction rates, depths 1-4),
 // once over the serial path and once over an 8-worker pool (the two
 // must produce identical rows; the regression test pins that — here
@@ -116,7 +126,7 @@ func BenchmarkTable5(b *testing.B) {
 			var rows []experiments.Table5Row
 			for i := 0; i < b.N; i++ {
 				var err error
-				rows, err = experiments.Table5(s)
+				rows, err = experiments.Table5(freshEvals(b, s))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -139,7 +149,7 @@ func BenchmarkTable6(b *testing.B) {
 	var rows []experiments.Table6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table6(s)
+		rows, err = experiments.Table6(freshEvals(b, s))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +169,7 @@ func BenchmarkTable7(b *testing.B) {
 	var rows []experiments.Table7Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table7(s)
+		rows, err = experiments.Table7(freshEvals(b, s))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +189,7 @@ func BenchmarkTable8(b *testing.B) {
 	var cells []experiments.Table8Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = experiments.Table8(s)
+		cells, err = experiments.Table8(freshEvals(b, s))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,8 +223,9 @@ func BenchmarkFigure6(b *testing.B) {
 	warm(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fresh := freshEvals(b, s)
 		for _, app := range []string{"appbt", "barnes", "dsmc"} {
-			if _, err := experiments.Figures6and7(s, app, 8); err != nil {
+			if _, err := experiments.Figures6and7(fresh, app, 8); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -228,8 +239,9 @@ func BenchmarkFigure7(b *testing.B) {
 	warm(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fresh := freshEvals(b, s)
 		for _, app := range []string{"moldyn", "unstructured"} {
-			if _, err := experiments.Figures6and7(s, app, 8); err != nil {
+			if _, err := experiments.Figures6and7(fresh, app, 8); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -257,7 +269,7 @@ func BenchmarkDirectedComparison(b *testing.B) {
 	warm(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DirectedComparison(s); err != nil {
+		if _, err := experiments.DirectedComparison(freshEvals(b, s)); err != nil {
 			b.Fatal(err)
 		}
 	}

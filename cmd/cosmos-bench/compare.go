@@ -89,7 +89,7 @@ func compareSnapshots(w io.Writer, oldSnap, newSnap Snapshot, threshold, allocTh
 			regressed = append(regressed, ob.Name)
 		}
 		allocMarker := ""
-		if ad := pctDelta(ob.AllocsPerOp, nb.AllocsPerOp); allocThreshold >= 0 && ad > allocThreshold {
+		if allocThreshold >= 0 && allocRegression(ob.AllocsPerOp, nb.AllocsPerOp, allocThreshold) {
 			allocMarker = "  ALLOC REGRESSION"
 			allocRegressed = append(allocRegressed, ob.Name)
 		}
@@ -108,12 +108,24 @@ func compareSnapshots(w io.Writer, oldSnap, newSnap Snapshot, threshold, allocTh
 }
 
 // pctDelta is the percent change from old to new (positive = slower /
-// bigger). A zero old value yields 0: nothing meaningful to gate on.
+// bigger). A zero old value yields 0: there is no percentage to report
+// (allocRegression gates that case separately).
 func pctDelta(old, new float64) float64 {
 	if old == 0 {
 		return 0
 	}
 	return 100 * (new - old) / old
+}
+
+// allocRegression reports whether allocs/op grew beyond threshold
+// percent. A zero-allocation baseline has no percentage to grow by, so
+// any allocation at all regresses it: an allocation-free hot path is
+// exactly what the gate exists to keep.
+func allocRegression(old, new, threshold float64) bool {
+	if old == 0 {
+		return new > 0
+	}
+	return pctDelta(old, new) > threshold
 }
 
 // deltaCol renders an auxiliary metric column as "old->new (+x%)".

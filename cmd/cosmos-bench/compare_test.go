@@ -84,6 +84,28 @@ func TestCompareAllocThresholdGate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "allocs/op") {
 		t.Fatalf("alloc gate error = %v, want allocs/op regression naming BenchmarkA", err)
 	}
+
+	// A zero-allocation baseline has no percentage to grow by, so any
+	// allocation at all trips the gate, at any threshold; staying at
+	// zero does not.
+	zeroOld := Snapshot{Label: "base", Benchmarks: []Benchmark{
+		{Name: "BenchmarkZero", NsPerOp: 100},
+		{Name: "BenchmarkStillZero", NsPerOp: 100},
+	}}
+	zeroNew := Snapshot{Label: "next", Benchmarks: []Benchmark{
+		{Name: "BenchmarkZero", NsPerOp: 100, AllocsPerOp: 3},
+		{Name: "BenchmarkStillZero", NsPerOp: 100},
+	}}
+	buf.Reset()
+	if _, ar := compareSnapshots(&buf, zeroOld, zeroNew, 10, 1000); len(ar) != 1 || ar[0] != "BenchmarkZero" {
+		t.Fatalf("zero-baseline allocRegressed = %v, want [BenchmarkZero]", ar)
+	}
+	if !strings.Contains(buf.String(), "ALLOC REGRESSION") {
+		t.Errorf("output missing alloc regression marker for the zero baseline:\n%s", buf.String())
+	}
+	if _, ar := compareSnapshots(&bytes.Buffer{}, zeroOld, zeroNew, 10, -1); len(ar) != 0 {
+		t.Fatalf("disabled gate flagged %v on the zero baseline", ar)
+	}
 }
 
 func TestCompareFilesExitBehavior(t *testing.T) {

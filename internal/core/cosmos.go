@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 )
@@ -81,37 +82,36 @@ func tupleBits(t coherence.Tuple) (uint16, error) {
 	return uint16(t.Sender)<<4 | uint16(t.Type), nil
 }
 
-// phtEntry is one pattern-history entry: the predicted tuple plus the
-// saturating noise-filter counter (Section 3.6).
-type phtEntry struct {
-	pred    coherence.Tuple
+// phtSlot is one PHT slot: a packed history pattern and its entry —
+// the predicted tuple plus the saturating noise-filter counter
+// (Section 3.6) — side by side, so a probe's key compare and the entry
+// it finds share a cache line.
+type phtSlot struct {
+	key  uint64
+	pred coherence.Tuple
+	// used marks an occupied slot. It sits in the padding after pred,
+	// so the slot stays 24 bytes, and it frees every key value: the
+	// zero pattern needs no special case.
+	used    bool
 	counter int
 }
 
 // phtTable is an open-addressed hash table from packed history pattern
-// to phtEntry, replacing the earlier map[uint64]*phtEntry. Entries are
-// stored by value in one contiguous slice, so the steady-state Observe
-// path — probe, compare, mutate in place — touches two flat arrays and
-// performs zero allocations; the map version cost one pointer
-// indirection per entry plus an allocation per insert.
+// to entry. Slots are stored by value in one contiguous slice, so the
+// steady-state Observe path — probe, compare, mutate in place —
+// touches one flat array and performs zero allocations.
 //
 // Linear probing with a power-of-two capacity and a 3/4 load-factor
 // growth threshold. Patterns are never deleted individually (Forget
-// discards a block's whole table), so no tombstones are needed. A
-// trained history is never the zero pattern in practice (every packed
-// tuple carries a nonzero message type), but key 0 is still handled —
-// via a dedicated slot rather than stealing 0 as the empty marker — so
-// the table stays correct for any keying scheme a variant adopts.
+// discards a block's whole table), so no tombstones are needed.
 type phtTable struct {
-	keys    []uint64
-	entries []phtEntry
-	n       int
-	hasZero bool
-	zero    phtEntry
+	slots []phtSlot
+	n     int32
 }
 
-// phtHash spreads a packed history over the table (splitmix64
-// finalizer; consecutive patterns differ only in a few tuple bits).
+// phtHash spreads a packed history or a block address over a table
+// (splitmix64 finalizer; consecutive patterns differ only in a few
+// tuple bits, consecutive blocks only in a few address bits).
 func phtHash(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -120,118 +120,141 @@ func phtHash(x uint64) uint64 {
 }
 
 // len returns the number of stored patterns.
-func (t *phtTable) len() int {
-	if t.hasZero {
-		return t.n + 1
-	}
-	return t.n
-}
+func (t *phtTable) len() int { return int(t.n) }
 
-// find returns the entry for key, or nil if the pattern is untrained.
-// The pointer is valid until the next insert.
-func (t *phtTable) find(key uint64) *phtEntry {
-	if key == 0 {
-		if t.hasZero {
-			return &t.zero
-		}
+// find returns the slot holding key, or nil if the pattern is
+// untrained. The pointer is valid until the next insert.
+func (t *phtTable) find(key uint64) *phtSlot {
+	if len(t.slots) == 0 {
 		return nil
 	}
-	if len(t.keys) == 0 {
-		return nil
-	}
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := phtHash(key) & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case key:
-			return &t.entries[i]
-		case 0:
+		s := &t.slots[i]
+		if !s.used {
 			return nil
 		}
+		if s.key == key {
+			return s
+		}
 	}
 }
 
-// insert stores a new pattern (the caller has checked it is absent).
-func (t *phtTable) insert(key uint64, e phtEntry) {
-	if key == 0 {
-		t.hasZero = true
-		t.zero = e
-		return
+// insert stores a new pattern (the caller has checked it is absent),
+// drawing a larger slot array from spare when the table must grow.
+func (t *phtTable) insert(e phtSlot, spare *phtArrays) {
+	if 4*(int(t.n)+1) > 3*len(t.slots) {
+		t.grow(spare)
 	}
-	if 4*(t.n+1) > 3*len(t.keys) {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	i := phtHash(key) & mask
-	for t.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.keys[i] = key
-	t.entries[i] = e
+	t.place(e)
 	t.n++
 }
 
-// reset erases the table's contents while keeping its allocated
-// arrays, so a pooled predictor's next evaluation reuses the capacity
-// the previous one grew (entries need no wipe: insert overwrites them).
-func (t *phtTable) reset() {
-	for i := range t.keys {
-		t.keys[i] = 0
+// place writes a pattern into the first free slot of its probe chain.
+func (t *phtTable) place(e phtSlot) {
+	mask := uint64(len(t.slots) - 1)
+	i := phtHash(e.key) & mask
+	for t.slots[i].used {
+		i = (i + 1) & mask
 	}
-	t.n = 0
-	t.hasZero = false
-	t.zero = phtEntry{}
+	e.used = true
+	t.slots[i] = e
 }
 
-// grow doubles the table (initially 8 slots) and rehashes.
-func (t *phtTable) grow() {
+// grow at least doubles the table (initially 8 slots) and rehashes.
+func (t *phtTable) grow(spare *phtArrays) {
 	newCap := 8
-	if len(t.keys) > 0 {
-		newCap = 2 * len(t.keys)
+	if len(t.slots) > 0 {
+		newCap = 2 * len(t.slots)
 	}
-	oldKeys, oldEntries := t.keys, t.entries
-	//cosmosvet:allow hotpath doubling rehash; growth cost is amortized across inserts
-	t.keys = make([]uint64, newCap)
-	//cosmosvet:allow hotpath doubling rehash; growth cost is amortized across inserts
-	t.entries = make([]phtEntry, newCap)
-	mask := uint64(newCap - 1)
-	for j, k := range oldKeys {
-		if k == 0 {
-			continue
+	old := t.slots
+	t.slots = spare.get(newCap)
+	for _, s := range old {
+		if s.used {
+			t.place(s)
 		}
-		i := phtHash(k) & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = k
-		t.entries[i] = oldEntries[j]
+	}
+	if old != nil {
+		spare.put(old)
 	}
 }
 
-// blockState is one MHR and its PHT.
+// phtArrays recycles zeroed PHT slot arrays by size: class c holds
+// arrays of 8<<c slots. A table that grows takes the smallest kept
+// array that holds at least the capacity it needs and gives back the
+// one it outgrew, and Reset gives back every block's array, so a
+// pooled predictor's next evaluation allocates no PHT storage the
+// previous one already grew.
+type phtArrays [][][]phtSlot
+
+// sizeClass maps a power-of-two PHT capacity (at least 8) to its class.
+func sizeClass(n int) int { return bits.TrailingZeros(uint(n)) - 3 }
+
+// get returns a zeroed array of at least n slots, recycled when one is
+// available.
+func (a *phtArrays) get(n int) []phtSlot {
+	for c := sizeClass(n); c < len(*a); c++ {
+		if free := (*a)[c]; len(free) > 0 {
+			arr := free[len(free)-1]
+			free[len(free)-1] = nil
+			(*a)[c] = free[:len(free)-1]
+			return arr
+		}
+	}
+	//cosmosvet:allow hotpath doubling rehash; growth cost is amortized across inserts and reset pools recycle the arrays
+	return make([]phtSlot, n)
+}
+
+// put zeroes an array and keeps it for reuse.
+func (a *phtArrays) put(arr []phtSlot) {
+	clear(arr)
+	c := sizeClass(len(arr))
+	for len(*a) <= c {
+		//cosmosvet:allow hotpath one class per table size, added once
+		*a = append(*a, nil)
+	}
+	//cosmosvet:allow hotpath the free stack grows to the most arrays a predictor holds, then reuses its backing
+	(*a)[c] = append((*a)[c], arr)
+}
+
+// blockState is one MHT slot: a block's address, its MHR and its PHT,
+// 64 bytes, one cache line.
 type blockState struct {
+	addr coherence.Addr
 	// mhr holds the last depth tuples, packed; most recent in the low
 	// 16 bits. Only meaningful once seen >= depth.
 	mhr uint64
 	// seen counts messages received for this block.
 	seen uint64
 	pht  phtTable
+	// used marks an occupied slot. Address 0 is a valid block, so the
+	// address cannot double as the empty marker.
+	used bool
 }
 
 // Predictor is one Cosmos predictor instance. It is not safe for
 // concurrent use; the simulated machine is single-threaded.
 //
-// Block states live in one slab indexed through a compact address map,
-// not behind per-block pointers: the evaluator walks millions of
-// messages over thousands of blocks, and keeping the states contiguous
-// removes an allocation per block plus a cache miss per access.
+// The MHT is one flat open-addressed table holding every block's state
+// inline, so Figure 3's two lookups are two probes into two flat
+// arrays: the block table by address, then that block's PHT by
+// history. The evaluator walks millions of messages over thousands of
+// blocks, and keeping the states inline and contiguous saves an
+// allocation per block and a pointer chase per access.
+//
+// The block table uses linear probing with phtHash, a power-of-two
+// capacity allocated on first insert and a 3/4 load-factor growth
+// threshold. Forget uses backward-shift deletion, so no tombstones are
+// needed. Every empty slot is all zero: a block state moved along its
+// probe chain leaves no second reference to its PHT array behind.
 type Predictor struct {
 	cfg     Config
 	mhrMask uint64
-	// index maps a block address to its slot in slab.
-	index map[coherence.Addr]int32
-	slab  []blockState
-	// free lists slab slots released by Forget for reuse.
-	free []int32
+	blocks  []blockState
+	nblocks int
+	// spare holds the PHT arrays that tables outgrew or Reset cleared,
+	// for growing tables to take before allocating their own.
+	spare phtArrays
 
 	phtEntries uint64
 }
@@ -244,48 +267,107 @@ func New(cfg Config) (*Predictor, error) {
 	return &Predictor{
 		cfg:     cfg,
 		mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1,
-		index:   make(map[coherence.Addr]int32),
 	}, nil
 }
 
-// block returns the state for addr, or nil if the block is untracked.
-// The pointer is valid until the next block is added (slab growth may
-// move the backing array), so callers use it within one operation and
-// never retain it.
-func (p *Predictor) block(addr coherence.Addr) *blockState {
-	i, ok := p.index[addr]
-	if !ok {
-		return nil
+// slot returns the block table index holding addr, or -1 if the block
+// is untracked.
+func (p *Predictor) slot(addr coherence.Addr) int {
+	if len(p.blocks) == 0 {
+		return -1
 	}
-	return &p.slab[i]
+	mask := uint64(len(p.blocks) - 1)
+	for i := phtHash(uint64(addr)) & mask; ; i = (i + 1) & mask {
+		bs := &p.blocks[i]
+		if !bs.used {
+			return -1
+		}
+		if bs.addr == addr {
+			return int(i)
+		}
+	}
+}
+
+// block returns the state for addr, or nil if the block is untracked.
+// The pointer is valid until the next block is added (table growth
+// moves every state), so callers use it within one operation and never
+// retain it.
+func (p *Predictor) block(addr coherence.Addr) *blockState {
+	if i := p.slot(addr); i >= 0 {
+		return &p.blocks[i]
+	}
+	return nil
+}
+
+// ensureBlock returns the block's state, claiming a table slot on first
+// reference.
+func (p *Predictor) ensureBlock(addr coherence.Addr) *blockState {
+	if i := p.slot(addr); i >= 0 {
+		return &p.blocks[i]
+	}
+	if 4*(p.nblocks+1) > 3*len(p.blocks) {
+		p.growBlocks()
+	}
+	bs := &p.blocks[p.freeSlot(addr)]
+	bs.used = true
+	bs.addr = addr
+	p.nblocks++
+	return bs
+}
+
+// freeSlot returns the first empty slot on addr's probe chain.
+func (p *Predictor) freeSlot(addr coherence.Addr) uint64 {
+	mask := uint64(len(p.blocks) - 1)
+	i := phtHash(uint64(addr)) & mask
+	for p.blocks[i].used {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// growBlocks doubles the block table (initially 16 slots) and rehashes
+// the occupied slots.
+func (p *Predictor) growBlocks() {
+	newCap := 16
+	if len(p.blocks) > 0 {
+		newCap = 2 * len(p.blocks)
+	}
+	old := p.blocks
+	//cosmosvet:allow hotpath doubling rehash; growth cost is amortized and reset pools retain the capacity
+	p.blocks = make([]blockState, newCap)
+	for _, bs := range old {
+		if bs.used {
+			p.blocks[p.freeSlot(bs.addr)] = bs
+		}
+	}
 }
 
 // Reset returns the predictor to its freshly-constructed state for
 // cfg, as if New(cfg) had been called — but retains every allocation
-// the previous use grew: the address index map's buckets, the slab's
-// capacity, and each slab slot's PHT arrays. The evaluator's per-worker
-// predictor pool depends on this: re-evaluating similar traces reaches
-// a steady state with no per-evaluation allocation at all. A reset
-// predictor is observationally identical to a new one; the sharded
-// evaluation equivalence tests pin that.
+// the previous use grew: the block table's capacity, and each block's
+// PHT array, emptied and kept for the tables grown next. Only
+// occupied slots are written. The evaluator's per-worker predictor
+// pool depends on this: re-evaluating similar traces reaches a steady
+// state with no per-evaluation allocation at all. A reset predictor is
+// observationally identical to a new one; the sharded evaluation
+// equivalence tests pin that.
 func (p *Predictor) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	p.cfg = cfg
 	p.mhrMask = (uint64(1) << (16 * cfg.Depth)) - 1
-	if p.index == nil {
-		p.index = make(map[coherence.Addr]int32)
-	} else {
-		clear(p.index)
+	for i := range p.blocks {
+		bs := &p.blocks[i]
+		if !bs.used {
+			continue
+		}
+		if bs.pht.slots != nil {
+			p.spare.put(bs.pht.slots)
+		}
+		*bs = blockState{}
 	}
-	for i := range p.slab {
-		p.slab[i].mhr = 0
-		p.slab[i].seen = 0
-		p.slab[i].pht.reset()
-	}
-	p.slab = p.slab[:0]
-	p.free = p.free[:0]
+	p.nblocks = 0
 	p.phtEntries = 0
 	return nil
 }
@@ -336,7 +418,7 @@ func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
 // Cosmos would have predicted for this arrival, whether a prediction
 // existed, and whether it was correct, then trains on the actual
 // tuple. It is equivalent to Predict followed by Update but probes the
-// address index and the PHT once instead of twice — the trace
+// block table and the PHT once instead of twice — the trace
 // evaluators spend most of their time here.
 //cosmosvet:hotpath
 func (p *Predictor) Observe(addr coherence.Addr, actual coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
@@ -374,20 +456,30 @@ func (p *Predictor) History(addr coherence.Addr) []coherence.Tuple {
 // Stand-alone Cosmos tables never need it; the replacement experiment
 // quantifies what merging would cost.
 func (p *Predictor) Forget(addr coherence.Addr) {
-	i, ok := p.index[addr]
-	if !ok {
+	i := p.slot(addr)
+	if i < 0 {
 		return
 	}
-	bs := &p.slab[i]
-	p.phtEntries -= uint64(bs.pht.len())
-	*bs = blockState{}
-	p.free = append(p.free, i)
-	delete(p.index, addr)
+	p.phtEntries -= uint64(p.blocks[i].pht.len())
+	p.nblocks--
+	// Backward-shift deletion: walk the rest of the probe chain and move
+	// back into the hole each state whose home slot does not lie
+	// cyclically in (hole, j], so every remaining block stays reachable
+	// from its home slot without tombstones.
+	mask := len(p.blocks) - 1
+	for j := (i + 1) & mask; p.blocks[j].used; j = (j + 1) & mask {
+		home := int(phtHash(uint64(p.blocks[j].addr)) & uint64(mask))
+		if (j-home)&mask >= (j-i)&mask {
+			p.blocks[i] = p.blocks[j]
+			i = j
+		}
+	}
+	p.blocks[i] = blockState{}
 }
 
 // MHREntries returns the number of blocks tracked (MHT size): blocks
 // that received at least one message.
-func (p *Predictor) MHREntries() uint64 { return uint64(len(p.index)) }
+func (p *Predictor) MHREntries() uint64 { return uint64(p.nblocks) }
 
 // PHTEntries returns the total number of pattern-history entries
 // across all blocks.

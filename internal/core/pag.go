@@ -22,7 +22,7 @@ type PAg struct {
 	// mhrs holds per-block history registers (first level, as in PAp).
 	mhrs map[coherence.Addr]*pagMHR
 	// pht is the single shared pattern table (second level).
-	pht map[uint64]*phtEntry
+	pht map[uint64]*phtSlot
 }
 
 type pagMHR struct {
@@ -40,7 +40,7 @@ func NewPAg(cfg Config) (*PAg, error) {
 		cfg:     cfg,
 		mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1,
 		mhrs:    make(map[coherence.Addr]*pagMHR),
-		pht:     make(map[uint64]*phtEntry),
+		pht:     make(map[uint64]*phtSlot),
 	}, nil
 }
 
@@ -73,7 +73,7 @@ func (p *PAg) Update(addr coherence.Addr, actual coherence.Tuple) {
 		e := p.pht[m.mhr]
 		switch {
 		case e == nil:
-			p.pht[m.mhr] = &phtEntry{pred: actual}
+			p.pht[m.mhr] = &phtSlot{key: m.mhr, pred: actual}
 		case e.pred == actual:
 			if e.counter < p.cfg.FilterMax {
 				e.counter++

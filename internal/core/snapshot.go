@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 )
@@ -19,7 +20,7 @@ import (
 // ascending address order and PHT entries in ascending pattern order,
 // regardless of the hash tables' internal layout. Two predictors in the
 // same logical state therefore snapshot to identical bytes even if
-// their slabs and probe sequences differ (one grew organically, one was
+// their tables and probe sequences differ (one grew organically, one was
 // restored), which is what makes snapshots content-addressable and
 // lets crash-recovery tests compare state by digest.
 //
@@ -37,54 +38,51 @@ const (
 	snapEntrySize       = 8 + 2 + 1 + 4
 )
 
-// phtPair is one (pattern, entry) pair pulled out of a PHT for
-// canonical emission.
-type phtPair struct {
-	key uint64
-	e   phtEntry
-}
-
-// pairs returns the table's contents sorted by pattern.
-func (t *phtTable) pairs() []phtPair {
-	out := make([]phtPair, 0, t.len())
-	if t.hasZero {
-		out = append(out, phtPair{0, t.zero})
-	}
-	for i, k := range t.keys {
-		if k != 0 {
-			out = append(out, phtPair{k, t.entries[i]})
+// appendSorted appends the table's occupied slots to dst, sorted by
+// pattern.
+func (t *phtTable) appendSorted(dst []phtSlot) []phtSlot {
+	n := len(dst)
+	for _, s := range t.slots {
+		if s.used {
+			dst = append(dst, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+	slices.SortFunc(dst[n:], func(a, b phtSlot) int { return cmp.Compare(a.key, b.key) })
+	return dst
 }
 
 // AppendSnapshot appends the canonical serialization of the predictor's
 // state to buf and returns the extended slice. Snapshot is the
 // allocating convenience wrapper.
 func (p *Predictor) AppendSnapshot(buf []byte) []byte {
+	// The encoding's size is known up front: grow buf once instead of
+	// doubling it through every append.
+	buf = slices.Grow(buf, 9+snapBlockHeaderSize*p.nblocks+snapEntrySize*int(p.phtEntries))
 	buf = append(buf, byte(p.cfg.Depth))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.cfg.FilterMax))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.index)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.nblocks))
 
-	addrs := make([]coherence.Addr, 0, len(p.index))
-	for a := range p.index {
-		addrs = append(addrs, a)
+	order := make([]int32, 0, p.nblocks)
+	for i := range p.blocks {
+		if p.blocks[i].used {
+			order = append(order, int32(i))
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(p.blocks[a].addr, p.blocks[b].addr) })
 
-	for _, a := range addrs {
-		bs := &p.slab[p.index[a]]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
+	var pairs []phtSlot // reused across blocks
+	for _, i := range order {
+		bs := &p.blocks[i]
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(bs.addr))
 		buf = binary.LittleEndian.AppendUint64(buf, bs.mhr)
 		buf = binary.LittleEndian.AppendUint64(buf, bs.seen)
-		pairs := bs.pht.pairs()
+		pairs = bs.pht.appendSorted(pairs[:0])
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
 		for _, pr := range pairs {
 			buf = binary.LittleEndian.AppendUint64(buf, pr.key)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(pr.e.pred.Sender))
-			buf = append(buf, byte(pr.e.pred.Type))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(pr.e.counter))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(pr.pred.Sender))
+			buf = append(buf, byte(pr.pred.Type))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(pr.counter))
 		}
 	}
 	return buf
@@ -119,7 +117,7 @@ func (p *Predictor) Restore(data []byte) error {
 		bs.mhr = b.mhr
 		bs.seen = b.seen
 		for _, pr := range b.pairs {
-			bs.pht.insert(pr.key, pr.e)
+			bs.pht.insert(pr, &p.spare)
 			p.phtEntries++
 		}
 	}
@@ -131,7 +129,7 @@ type snapBlock struct {
 	addr  coherence.Addr
 	mhr   uint64
 	seen  uint64
-	pairs []phtPair
+	pairs []phtSlot
 }
 
 // parseSnapshot decodes and validates a canonical snapshot without
@@ -185,7 +183,7 @@ func parseSnapshot(data []byte) (Config, []snapBlock, error) {
 		if uint64(nEntries)*snapEntrySize > uint64(len(data)-off) {
 			return fail("block %#x: entry count %d exceeds the %d remaining bytes", uint64(b.addr), nEntries, len(data)-off)
 		}
-		b.pairs = make([]phtPair, 0, nEntries)
+		b.pairs = make([]phtSlot, 0, nEntries)
 		var prevKey uint64
 		for j := uint32(0); j < nEntries; j++ {
 			if len(data)-off < snapEntrySize {
@@ -211,7 +209,7 @@ func parseSnapshot(data []byte) (Config, []snapBlock, error) {
 			if counter < 0 || counter > cfg.FilterMax {
 				return fail("block %#x: counter %d outside [0, %d]", uint64(b.addr), counter, cfg.FilterMax)
 			}
-			b.pairs = append(b.pairs, phtPair{key: key, e: phtEntry{pred: pred, counter: counter}})
+			b.pairs = append(b.pairs, phtSlot{key: key, pred: pred, counter: counter})
 		}
 		blocks = append(blocks, b)
 	}

@@ -130,34 +130,9 @@ func (p *Predictor) predictFull(addr coherence.Addr) (coherence.Tuple, bool) {
 	return p.Predict(addr)
 }
 
-// ensureBlock returns the block's state, allocating a slab slot on
-// first reference. A slot reclaimed by Reset keeps its PHT arrays, so
-// the length-extension branch revives that capacity instead of
-// discarding it with a zero blockState.
-func (p *Predictor) ensureBlock(addr coherence.Addr) *blockState {
-	if bs := p.block(addr); bs != nil {
-		return bs
-	}
-	var slot int32
-	switch {
-	case len(p.free) > 0:
-		slot = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-	case len(p.slab) < cap(p.slab):
-		slot = int32(len(p.slab))
-		p.slab = p.slab[:slot+1]
-	default:
-		slot = int32(len(p.slab))
-		//cosmosvet:allow hotpath slab growth is amortized; reset pools retain the capacity
-		p.slab = append(p.slab, blockState{})
-	}
-	p.index[addr] = slot
-	return &p.slab[slot]
-}
-
 // train installs (or filter-adjusts) e's prediction toward payload,
 // the Section 3.4 update rule shared by every entry point.
-func (p *Predictor) train(e *phtEntry, payload coherence.Tuple) {
+func (p *Predictor) train(e *phtSlot, payload coherence.Tuple) {
 	switch {
 	case e.pred == payload:
 		if e.counter < p.cfg.FilterMax {
@@ -183,7 +158,7 @@ func (p *Predictor) updateIndexed(addr coherence.Addr, indexTuple, payload coher
 		if e := bs.pht.find(bs.mhr); e != nil {
 			p.train(e, payload)
 		} else {
-			bs.pht.insert(bs.mhr, phtEntry{pred: payload})
+			bs.pht.insert(phtSlot{key: bs.mhr, pred: payload}, &p.spare)
 			p.phtEntries++
 		}
 	}
@@ -208,7 +183,7 @@ func (p *Predictor) observeIndexed(addr coherence.Addr, indexTuple, payload cohe
 			correct = pred == payload
 			p.train(e, payload)
 		} else {
-			bs.pht.insert(bs.mhr, phtEntry{pred: payload})
+			bs.pht.insert(phtSlot{key: bs.mhr, pred: payload}, &p.spare)
 			p.phtEntries++
 		}
 	}
@@ -235,8 +210,8 @@ type PreallocStats struct {
 // static per-block entry count.
 func (p *Predictor) Prealloc(prealloc int) PreallocStats {
 	var s PreallocStats
-	for _, slot := range p.index {
-		n := p.slab[slot].pht.len()
+	for i := range p.blocks {
+		n := p.blocks[i].pht.len()
 		if n == 0 {
 			continue
 		}

@@ -95,33 +95,84 @@ func Run(app workload.App, cfg Config) (*trace.Trace, error) {
 }
 
 // Suite lazily generates and memoizes the five benchmark traces for a
-// configuration, so the table drivers share one simulation per app.
+// configuration, so the table drivers share one simulation per app,
+// and memoizes every evaluation over them, so a table cell that
+// several drivers report is evaluated once: Table 7 reads Table 5's
+// (app, depth) cells, and Table 6's filter-0 cells, TimeToAdapt and
+// the depth-1 extras are Table 5 cells too.
 //
 // A Suite is safe for concurrent use: the parallel experiment engine
 // shards table cells and figure panels across a worker pool, and any
-// number of workers may demand the same trace — the first to arrive
-// simulates, the rest block on the per-app once. Each simulation runs
-// on its own single-threaded sim.Engine with its own predictors, so
-// the only shared state is the memo table itself.
+// number of workers may demand the same trace or the same evaluation —
+// the first to arrive computes it, the rest block on the key's once.
+// Each simulation runs on its own single-threaded sim.Engine with its
+// own predictors, so the only shared state is the memo tables.
 type Suite struct {
 	cfg     Config
 	workers int
 
-	mu     sync.Mutex
-	traces map[string]*traceEntry
+	traces *memo[string, *trace.Trace]
+	evals  *memo[evalKey, *stats.Result]
 }
 
-// traceEntry memoizes one benchmark's simulation exactly once.
-type traceEntry struct {
+// evalKey identifies one evaluation. Options.Workers is always zero in
+// a key: pool width never changes results, which the worker-invariance
+// tests pin, so every width shares one memoized result.
+type evalKey struct {
+	app  string
+	cfg  core.Config
+	opts stats.Options
+}
+
+// memo computes each key's value exactly once. Concurrent callers for
+// one key share one computation: the first runs it, the rest block on
+// the key's once.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
 	once sync.Once
-	tr   *trace.Trace
+	v    V
 	err  error
+}
+
+func newMemo[K comparable, V any]() *memo[K, V] {
+	return &memo[K, V]{m: make(map[K]*memoEntry[V])}
+}
+
+// get returns key's value, running compute on first use.
+func (m *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	e, ok := m.m[key]
+	if !ok {
+		e = &memoEntry[V]{}
+		m.m[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
 }
 
 // NewSuite creates an empty suite; the pool width comes from
 // cfg.Workers (overridable with SetWorkers).
 func NewSuite(cfg Config) *Suite {
-	return &Suite{cfg: cfg, workers: cfg.workerCount(), traces: make(map[string]*traceEntry)}
+	return &Suite{
+		cfg:     cfg,
+		workers: cfg.workerCount(),
+		traces:  newMemo[string, *trace.Trace](),
+		evals:   newMemo[evalKey, *stats.Result](),
+	}
+}
+
+// Fresh returns a suite with s's configuration and pool width that
+// shares s's trace memo but starts with an empty evaluation memo, so
+// its evaluations run again over the traces s already captured. The
+// table benchmarks call it outside the timer so every timed iteration
+// measures real evaluation rather than memo hits.
+func (s *Suite) Fresh() *Suite {
+	return &Suite{cfg: s.cfg, workers: s.workers, traces: s.traces, evals: newMemo[evalKey, *stats.Result]()}
 }
 
 // Config returns the suite's configuration.
@@ -167,54 +218,56 @@ func (s *Suite) Prefetch() error {
 // first use. Concurrent callers for the same benchmark share one
 // simulation.
 func (s *Suite) Trace(name string) (*trace.Trace, error) {
-	s.mu.Lock()
-	e, ok := s.traces[name]
-	if !ok {
-		e = &traceEntry{}
-		s.traces[name] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		app, err := workload.ByName(name, s.cfg.Machine.Nodes, s.cfg.Scale)
-		if err != nil {
-			e.err = err
-			return
-		}
-		cache := tracecache.Cache{Dir: s.cfg.TraceCache}
-		key := s.cfg.traceKey(name)
-		if tr, ok, err := cache.Load(key); err != nil {
-			// A corrupted or truncated entry fails the run loudly
-			// instead of silently re-simulating: see tracecache.Load.
-			e.err = err
-			return
-		} else if ok {
-			if tr.App != name || tr.Nodes != s.cfg.Machine.Nodes {
-				e.err = fmt.Errorf("experiments: trace cache entry %s holds %s/%d nodes, want %s/%d (key collision? delete the cache dir)",
-					key, tr.App, tr.Nodes, name, s.cfg.Machine.Nodes)
-				return
-			}
-			e.tr = tr
-			return
-		}
-		e.tr, e.err = Run(app, s.cfg)
-		if e.err == nil {
-			e.err = cache.Store(key, e.tr)
-		}
-	})
-	return e.tr, e.err
+	return s.traces.get(name, func() (*trace.Trace, error) { return s.capture(name) })
 }
 
-// Evaluate runs a predictor configuration over a benchmark's trace.
-// The suite's worker pool width is threaded into the evaluation so
-// table drivers get slot-sharded evaluation for free; callers that set
-// opts.Workers explicitly keep their value.
-func (s *Suite) Evaluate(name string, pcfg core.Config, opts stats.Options) (*stats.Result, error) {
-	tr, err := s.Trace(name)
+// capture loads a benchmark's trace from the trace cache, or simulates
+// it and stores it there.
+func (s *Suite) capture(name string) (*trace.Trace, error) {
+	app, err := workload.ByName(name, s.cfg.Machine.Nodes, s.cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
+	cache := tracecache.Cache{Dir: s.cfg.TraceCache}
+	key := s.cfg.traceKey(name)
+	if tr, ok, err := cache.Load(key); err != nil {
+		// A corrupted or truncated entry fails the run loudly
+		// instead of silently re-simulating: see tracecache.Load.
+		return nil, err
+	} else if ok {
+		if tr.App != name || tr.Nodes != s.cfg.Machine.Nodes {
+			return nil, fmt.Errorf("experiments: trace cache entry %s holds %s/%d nodes, want %s/%d (key collision? delete the cache dir)",
+				key, tr.App, tr.Nodes, name, s.cfg.Machine.Nodes)
+		}
+		return tr, nil
+	}
+	tr, err := Run(app, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return tr, cache.Store(key, tr)
+}
+
+// Evaluate runs a predictor configuration over a benchmark's trace,
+// once per (benchmark, configuration, options) for the suite's
+// lifetime. The suite's worker pool width is threaded into the
+// evaluation so table drivers get slot-sharded evaluation for free;
+// callers that set opts.Workers explicitly keep their value. The width
+// is not part of the memo key, since it never changes results.
+//
+// The returned Result is shared by every caller that asks for the same
+// cell and must be treated as read-only.
+func (s *Suite) Evaluate(name string, pcfg core.Config, opts stats.Options) (*stats.Result, error) {
+	key := evalKey{app: name, cfg: pcfg, opts: opts}
+	key.opts.Workers = 0
 	if opts.Workers == 0 {
 		opts.Workers = s.workers
 	}
-	return stats.Evaluate(tr, pcfg, opts)
+	return s.evals.get(key, func() (*stats.Result, error) {
+		tr, err := s.Trace(name)
+		if err != nil {
+			return nil, err
+		}
+		return stats.Evaluate(tr, pcfg, opts)
+	})
 }

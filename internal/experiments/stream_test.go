@@ -82,7 +82,7 @@ func measurePeakHeap(fn func(sample func())) uint64 {
 	// not how much garbage the collector let pile up.
 	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	// Two collections, not one: sync.Pool contents survive a single GC
-	// in the victim cache, and the predictor pool retains grown slabs
+	// in the victim cache, and the predictor pool retains grown tables
 	// from earlier cells (Reset keeps capacity). Without the second GC
 	// a big prior cell donates its big predictors to this one and the
 	// measurement compares pool luck, not cell footprint.

@@ -7,8 +7,8 @@ import (
 )
 
 // predictorPool recycles core.Predictor instances across evaluation
-// cells. A predictor's slab, PHT arrays and index map survive Reset,
-// so a warm evaluation run reaches steady state with near-zero
+// cells. A predictor's block table and PHT arrays survive Reset, so a
+// warm evaluation run reaches steady state with near-zero
 // allocations per record regardless of how many (trace, config) cells
 // it sweeps. Reset makes a pooled predictor state-identical to a fresh
 // one for any configuration, so the pool is config-agnostic.

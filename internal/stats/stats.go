@@ -389,8 +389,8 @@ type TypeStat struct {
 }
 
 // ByType breaks the result down by actual message type — which kinds
-// of coherence traffic Cosmos predicts well. Requires the evaluation
-// to have run with TrackTypes.
+// of coherence traffic Cosmos predicts well. Every evaluation path
+// fills Types, so no option is needed.
 func (r *Result) ByType() []TypeStat {
 	var total uint64
 	for _, c := range r.Types {
