@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet cosmosvet build test race bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
+.PHONY: check ci lint vet cosmosvet build test race fuzz bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
 
 check: lint build race
 
@@ -27,6 +27,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Native fuzzing of the binary decoders: the CTRC trace codec (Read
+# against a drained StreamReader, Verify, Write round trip) and the
+# CPSS snapshot container (no panics, canonical re-encoding). Each
+# target runs for 10 s; new crashers land in the package's
+# testdata/fuzz directory and then run as ordinary seed tests.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCPSS$$' -fuzztime 10s ./internal/serve
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

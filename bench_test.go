@@ -479,8 +479,8 @@ func BenchmarkServeSLO(b *testing.B) {
 	b.ReportMetric(float64(p99), "p99_ns")
 }
 
-// BenchmarkEvaluateThroughput measures trace evaluation speed
-// (records/op is constant; time per op is what matters).
+// BenchmarkEvaluateThroughput measures trace evaluation speed on one
+// goroutine (records/op is constant; time per op is what matters).
 func BenchmarkEvaluateThroughput(b *testing.B) {
 	s := fullSuite(b)
 	tr, err := s.Trace("moldyn")
@@ -497,10 +497,11 @@ func BenchmarkEvaluateThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Records)), "records")
 }
 
-// BenchmarkEvaluateThroughputSharded is the same evaluation through
-// the slot-sharded path at 8 requested workers (the pool self-caps at
-// GOMAXPROCS). Results are identical to the serial path; the
-// equivalence tests pin that, this measures the wall-clock difference.
+// BenchmarkEvaluateThroughputSharded is the same evaluation with its
+// slots shared by 8 requested workers (the pool self-caps at
+// GOMAXPROCS) instead of walked on one goroutine. Results are identical
+// at every width; the equivalence tests pin that, this measures the
+// wall-clock difference.
 func BenchmarkEvaluateThroughputSharded(b *testing.B) {
 	s := fullSuite(b)
 	tr, err := s.Trace("moldyn")

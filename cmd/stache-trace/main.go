@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -25,25 +26,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "stache-trace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run drives the whole command against an explicit writer and argument
+// list, so tests can compare its output byte for byte.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("stache-trace", flag.ContinueOnError)
 	var (
-		app     = flag.String("app", "", "benchmark to simulate (appbt|barnes|dsmc|moldyn|unstructured)")
-		scale   = flag.String("scale", "medium", "workload scale: small | medium | full")
-		out     = flag.String("o", "", "write the captured trace to this file")
-		in      = flag.String("in", "", "read a previously saved trace instead of simulating")
-		dump    = flag.Bool("dump", false, "dump the trace as text to stdout")
-		summary = flag.Bool("summary", false, "print per-message-type and per-side counts")
-		halfMig = flag.Bool("halfmigratory", true, "enable the Stache half-migratory optimization")
-		inv     = flag.Bool("invariants", false, "simulate with the runtime coherence invariant monitor")
+		app     = fs.String("app", "", "benchmark to simulate (appbt|barnes|dsmc|moldyn|unstructured)")
+		scale   = fs.String("scale", "medium", "workload scale: small | medium | full")
+		out     = fs.String("o", "", "write the captured trace to this file")
+		in      = fs.String("in", "", "read a previously saved trace instead of simulating")
+		dump    = fs.Bool("dump", false, "dump the trace as text to stdout")
+		summary = fs.Bool("summary", false, "print per-message-type and per-side counts")
+		halfMig = fs.Bool("halfmigratory", true, "enable the Stache half-migratory optimization")
+		inv     = fs.Bool("invariants", false, "simulate with the runtime coherence invariant monitor")
 	)
-	ff := faults.AddFlags(flag.CommandLine)
-	flag.Parse()
+	ff := faults.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tr *trace.Trace
 	switch {
@@ -67,11 +73,11 @@ func run() error {
 		cfg.Stache.HalfMigratory = *halfMig
 		cfg.Machine.Faults = ff.Plan()
 		cfg.Machine.Invariants = *inv
-		w, err := workload.ByName(*app, cfg.Machine.Nodes, sc)
+		wl, err := workload.ByName(*app, cfg.Machine.Nodes, sc)
 		if err != nil {
 			return err
 		}
-		tr, err = experiments.Run(w, cfg)
+		tr, err = experiments.Run(wl, cfg)
 		if err != nil {
 			return err
 		}
@@ -95,20 +101,20 @@ func run() error {
 	}
 
 	if *dump {
-		if err := trace.WriteText(os.Stdout, tr); err != nil {
+		if err := trace.WriteText(w, tr); err != nil {
 			return err
 		}
 	}
 
 	if *summary || (!*dump && *out == "") {
-		printSummary(tr)
+		printSummary(w, tr)
 	}
 	return nil
 }
 
-func printSummary(tr *trace.Trace) {
+func printSummary(w io.Writer, tr *trace.Trace) {
 	cache, dir := tr.CountBySide()
-	fmt.Printf("trace: app=%s nodes=%d iterations=%d records=%d (%d cache / %d directory)\n",
+	fmt.Fprintf(w, "trace: app=%s nodes=%d iterations=%d records=%d (%d cache / %d directory)\n",
 		tr.App, tr.Nodes, tr.Iterations, len(tr.Records), cache, dir)
 
 	counts := map[coherence.MsgType]uint64{}
@@ -117,7 +123,7 @@ func printSummary(tr *trace.Trace) {
 		counts[r.Type]++
 		blocks[r.Addr] = true
 	}
-	fmt.Printf("distinct blocks: %d\n", len(blocks))
+	fmt.Fprintf(w, "distinct blocks: %d\n", len(blocks))
 
 	type kv struct {
 		t coherence.MsgType
@@ -133,8 +139,8 @@ func printSummary(tr *trace.Trace) {
 		}
 		return rows[i].t < rows[j].t // tie-break so output never depends on map order
 	})
-	fmt.Println("messages by type:")
+	fmt.Fprintln(w, "messages by type:")
 	for _, r := range rows {
-		fmt.Printf("  %-22s %10d (%.1f%%)\n", r.t, r.n, 100*float64(r.n)/float64(len(tr.Records)))
+		fmt.Fprintf(w, "  %-22s %10d (%.1f%%)\n", r.t, r.n, 100*float64(r.n)/float64(len(tr.Records)))
 	}
 }

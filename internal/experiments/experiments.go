@@ -251,7 +251,7 @@ func (s *Suite) capture(name string) (*trace.Trace, error) {
 // Evaluate runs a predictor configuration over a benchmark's trace,
 // once per (benchmark, configuration, options) for the suite's
 // lifetime. The suite's worker pool width is threaded into the
-// evaluation so table drivers get slot-sharded evaluation for free;
+// evaluation so table drivers share each cell's slots over the pool;
 // callers that set opts.Workers explicitly keep their value. The width
 // is not part of the memo key, since it never changes results.
 //

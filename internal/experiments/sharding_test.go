@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
@@ -15,10 +17,12 @@ import (
 
 // TestShardedEvaluateEquivalence is the slot-sharding regression test:
 // for every workload and every predictor variant the evaluators drive,
-// the sharded path at 1, 2 and 8 workers must DeepEqual the serial
-// arrival-order walk. This is the exactness claim the whole tentpole
-// rests on — predictor state never crosses a (node, side) slot
-// boundary, so sharding may never change a single counter.
+// the per-slot walk at 0, 1, 2 and 8 workers must DeepEqual the
+// arrival-order walk (stats.EvaluateStream over the in-memory records
+// for Cosmos, serialVariantRow for the macro variants). This is the
+// exactness claim slot sharding rests on — predictor state never
+// crosses a (node, side) slot boundary, so sharding may never change a
+// single counter.
 func TestShardedEvaluateEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluates every workload under many configurations")
@@ -27,21 +31,19 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 	cfg.Scale = workload.ScaleSmall
 	s := NewSuite(cfg)
 
-	for _, app := range s.Apps() {
-		tr, err := s.Trace(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// stats.Evaluate: Cosmos depths 1-3, arcs and iteration caps on.
+	// stats.Evaluate: Cosmos depths 1-3 with arcs, an iteration cap and
+	// forget-on-writeback all on.
+	checkCosmos := func(label string, tr *trace.Trace) {
+		t.Helper()
 		for depth := 1; depth <= 3; depth++ {
 			pcfg := core.Config{Depth: depth}
-			opts := stats.Options{TrackArcs: true, MaxIterations: 3}
-			serial, err := stats.Evaluate(tr, pcfg, opts)
+			opts := stats.Options{TrackArcs: true, MaxIterations: 3, ForgetOnWriteback: true}
+			serial, err := stats.EvaluateStream(&sliceSource{recs: tr.Records}, tr.App, tr.Nodes, pcfg,
+				stats.StreamOptions{Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range []int{0, 1, 2, 8} {
 				o := opts
 				o.Workers = workers
 				sharded, err := stats.Evaluate(tr, pcfg, o)
@@ -49,11 +51,41 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(serial, sharded) {
-					t.Errorf("%s depth %d workers %d: sharded result differs from serial:\n%+v\n%+v",
-						app, depth, workers, serial, sharded)
+					t.Errorf("%s depth %d workers %d: per-slot result differs from the arrival-order walk:\n%+v\n%+v",
+						label, depth, workers, serial, sharded)
 				}
 			}
 		}
+	}
+
+	// Bounded caches replace lines, so their traces carry the
+	// writeback acknowledgements ForgetOnWriteback acts on.
+	bcfg := cfg
+	bcfg.Stache.CacheBlocks, bcfg.Stache.CacheAssoc = 4, 1
+	bounded := NewSuite(bcfg)
+	var writebackAcks int
+	for _, app := range bounded.Apps() {
+		tr, err := bounded.Trace(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range tr.Records {
+			if rec.Type == coherence.WritebackAck {
+				writebackAcks++
+			}
+		}
+		checkCosmos(app+"/bounded", tr)
+	}
+	if writebackAcks == 0 {
+		t.Fatal("bounded-cache traces hold no writeback acks; ForgetOnWriteback went unexercised")
+	}
+
+	for _, app := range s.Apps() {
+		tr, err := s.Trace(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCosmos(app, tr)
 
 		// MacroPredictor variants (PAp with grouping / sender-agnostic
 		// history) through the slotShard helper vs a serial reference.
@@ -92,6 +124,18 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 			t.Errorf("PApVsPAg differs between worker widths:\n%+v\n%+v", pagRuns[0], pagRuns[i])
 		}
 	}
+}
+
+// sliceSource is an in-memory stats.RecordSource over a record slice.
+type sliceSource struct{ recs []trace.Record }
+
+func (s *sliceSource) Next(buf []trace.Record) (int, error) {
+	if len(s.recs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(buf, s.recs)
+	s.recs = s.recs[n:]
+	return n, nil
 }
 
 // serialVariantRow is the arrival-order reference for evalVariant: one

@@ -15,7 +15,7 @@ import (
 
 // sampleState builds a plausible service state: driven predictors,
 // cursors, and response tails consistent with them.
-func sampleState(t *testing.T, streams int) State {
+func sampleState(t testing.TB, streams int) State {
 	t.Helper()
 	r := rand.New(rand.NewSource(41))
 	st := State{Streams: make([]StreamState, streams)}
@@ -152,4 +152,50 @@ func TestCPSSNeverPanics(t *testing.T) {
 	if rejected != len(enc) {
 		t.Fatalf("%d of %d bit flips rejected, want all", rejected, len(enc))
 	}
+}
+
+// FuzzDecodeCPSS feeds arbitrary bytes to the container decoder: it
+// must never panic, every rejection must wrap exactly one failure
+// class, and any state it accepts must re-encode to the input bytes
+// (the encoding is canonical, so the digest is a content address).
+func FuzzDecodeCPSS(f *testing.F) {
+	enc := EncodeCPSS(sampleState(f, 2))
+	f.Add(enc)
+	f.Add(EncodeCPSS(State{Streams: []StreamState{}}))
+	// Truncations, including a torn payload under an intact footer.
+	for _, cut := range []int{0, 8, 20, len(enc) - cpssFooterSize, len(enc) - 1} {
+		f.Add(bytes.Clone(enc[:cut]))
+	}
+	torn := append(bytes.Clone(enc[:len(enc)-cpssFooterSize-5]), enc[len(enc)-cpssFooterSize:]...)
+	f.Add(torn)
+	// Bit flips, raw and with the footer refitted so the structural
+	// checks behind the checksum are reached.
+	for _, i := range []int{0, 5, 10, 30, len(enc) - 3} {
+		mut := bytes.Clone(enc)
+		mut[i] ^= 0x10
+		f.Add(mut)
+		f.Add(refitFooter(mut))
+	}
+	future := bytes.Clone(enc)
+	binary.LittleEndian.PutUint16(future[4:], cpssVersion+1)
+	f.Add(refitFooter(future))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeCPSS(data)
+		if err != nil {
+			n := 0
+			for _, cls := range []error{ErrTruncated, ErrCorrupt, ErrVersion} {
+				if errors.Is(err, cls) {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Fatalf("error %v matches %d failure classes, want exactly 1", err, n)
+			}
+			return
+		}
+		if got := EncodeCPSS(st); !bytes.Equal(got, data) {
+			t.Fatalf("accepted state re-encodes to %d bytes differing from the %d-byte input", len(got), len(data))
+		}
+	})
 }

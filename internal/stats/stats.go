@@ -33,6 +33,11 @@ func (c *Counter) add(hit bool) {
 	}
 }
 
+func (c *Counter) merge(o Counter) {
+	c.Total += o.Total
+	c.Hits += o.Hits
+}
+
 // Accuracy returns hits/total (0 for an empty counter).
 func (c Counter) Accuracy() float64 {
 	if c.Total == 0 {
@@ -97,179 +102,193 @@ type Options struct {
 	// history and patterns are discarded. Only meaningful on traces
 	// from bounded-cache runs.
 	ForgetOnWriteback bool
-	// Workers > 1 fans the trace's per-(node, side) slot streams over
-	// a bounded worker pool (slot sharding): predictor state never
-	// crosses a slot boundary, so each stream evaluates independently
-	// and the counters merge in fixed slot order, giving results
-	// identical to the serial arrival-order walk for every width.
-	// 0 or 1 runs the serial reference path.
+	// Workers sets how many goroutines share Evaluate's per-(node,
+	// side) slot streams; 0 or 1 walks them serially on the caller.
+	// The result never depends on it: each slot is evaluated alone and
+	// the per-slot results merge in fixed slot order.
 	Workers int
 }
 
 // Evaluate runs one Cosmos predictor per node and side over the trace
 // and aggregates the paper's metrics. The predictor placement follows
 // Section 3.2: "We allocate a Cosmos predictor for every cache or
-// directory in the machine." With opts.Workers > 1 the evaluation is
-// slot-sharded (see Options.Workers); the two paths produce identical
-// results, which the equivalence regression tests pin.
+// directory in the machine." A predictor's state is only ever touched
+// by records addressed to its own (node, side) slot, so Evaluate walks
+// the slots of tr.Partition() independently — opts.Workers of them at
+// a time — through the same per-record body as EvaluateStream, and
+// merges the per-slot results in slot order. The result equals
+// EvaluateStream's arrival-order walk over the same records, which the
+// equivalence regression tests pin.
 func Evaluate(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Workers > 1 {
-		return evaluateSharded(tr, cfg, opts)
-	}
-	return evaluateSerial(tr, cfg, opts)
-}
-
-// slotAddr keys per-(predictor slot, block) arc state. One flat map
-// keyed by (slot, block) replaces the earlier per-slot map slice: the
-// hot loop does a single hash probe instead of a slice load plus a
-// probe into one of 2*nodes separately grown tables.
-type slotAddr struct {
-	slot int32
-	addr coherence.Addr
-}
-
-// evaluateSerial is the reference implementation: one pass over the
-// records in arrival order. The per-record body lives in
-// serialEval.observe (stream.go), shared with EvaluateStream so the
-// two arrival-order paths cannot drift apart.
-//
-//cosmosvet:hotpath loops
-func evaluateSerial(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
-	ev, err := newSerialEval(tr.App, tr.Nodes, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range tr.Records {
-		ev.observe(rec)
-	}
-	return ev.finish(), nil
-}
-
-// slotPartial is one slot's share of a sharded evaluation: everything
-// the merge step needs, accumulated over that slot's sub-stream only.
-type slotPartial struct {
-	counter Counter
-	types   [coherence.NumMsgTypes]Counter
-	perIter []Counter
-	arcs    map[Arc]*Counter
-	memory  core.MemoryStats
-}
-
-// evaluateSharded fans the trace's slot streams over the worker pool
-// and merges the per-slot partials in fixed slot order. Exactness
-// rests on the slot-independence argument from trace.Partition: a
-// slot's predictor (and its arc state, keyed per block within the
-// slot) is driven only by that slot's records, in original relative
-// order, so each partial equals the serial walk's contribution from
-// that slot and the merged sums equal the serial totals.
-func evaluateSharded(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
 	part := tr.Partition()
-	slots := part.Slots()
-	if s := 2 * tr.Nodes; slots < s {
-		slots = s // empty high slots still contribute (zero) memory stats
-	}
-	partials, err := parallel.Map(slots, opts.Workers, func(s int) (slotPartial, error) {
-		var sp slotPartial
-		recs := part.Records(s)
-		side := trace.Side(s % 2)
-		p, err := borrowPredictor(cfg)
-		if err != nil {
-			return sp, err
-		}
-		var lastType map[coherence.Addr]coherence.MsgType
-		if opts.TrackArcs {
-			sp.arcs = make(map[Arc]*Counter)
-			lastType = make(map[coherence.Addr]coherence.MsgType, 64)
-		}
-		for _, rec := range recs {
-			if opts.MaxIterations > 0 && int(rec.Iter) >= opts.MaxIterations {
-				continue
-			}
-			_, _, correct := p.Observe(rec.Addr, rec.Tuple())
-			if opts.ForgetOnWriteback && side == trace.CacheSide && rec.Type == coherence.WritebackAck {
-				p.Forget(rec.Addr)
-			}
-			sp.counter.add(correct)
-			sp.types[rec.Type].add(correct)
-			for int(rec.Iter) >= len(sp.perIter) {
-				sp.perIter = append(sp.perIter, Counter{})
-			}
-			sp.perIter[rec.Iter].add(correct)
-			if opts.TrackArcs {
-				if from, ok := lastType[rec.Addr]; ok {
-					arc := Arc{Side: side, From: from, To: rec.Type}
-					c := sp.arcs[arc]
-					if c == nil {
-						c = &Counter{}
-						sp.arcs[arc] = c
-					}
-					c.add(correct)
-				}
-				lastType[rec.Addr] = rec.Type
-			}
-		}
-		sp.memory.MHREntries = p.MHREntries()
-		sp.memory.PHTEntries = p.PHTEntries()
-		releasePredictor(p)
-		return sp, nil
+	partials, err := parallel.Map(part.Slots(), opts.Workers, func(s int) (Result, error) {
+		return evaluateSlot(part.Records(s), trace.Side(s%2), cfg, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
+	res := newResult(tr.App, cfg, opts)
+	for i := range partials {
+		res.merge(&partials[i])
+	}
+	return &res, nil
+}
 
-	res := &Result{App: tr.App, Config: cfg}
+// evaluateSlot evaluates one slot's sub-stream with its own predictor.
+//
+//cosmosvet:hotpath loops
+func evaluateSlot(recs []trace.Record, side trace.Side, cfg core.Config, opts Options) (Result, error) {
+	ps, err := newPredSlot(side, cfg, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	ev := evaluator{res: newResult("", cfg, opts), opts: opts}
+	if n := len(recs); n > 0 {
+		// Iterations only advance during a capture, so the slot's last
+		// record carries its highest; the record count caps what a
+		// crafted iteration number can size up front.
+		ev.res.PerIter = make([]Counter, 0, min(int(recs[n-1].Iter)+1, n))
+	}
+	for i := range recs {
+		ev.observe(&ps, &recs[i])
+	}
+	ev.retire(&ps)
+	return ev.res, nil
+}
+
+// predSlot is one (node, side) predictor and, with TrackArcs, the last
+// message type it received for each block (the next arc's From).
+type predSlot struct {
+	p        *core.Predictor
+	side     trace.Side
+	lastType map[coherence.Addr]coherence.MsgType
+}
+
+func newPredSlot(side trace.Side, cfg core.Config, opts Options) (predSlot, error) {
+	p, err := borrowPredictor(cfg)
+	if err != nil {
+		return predSlot{}, err
+	}
+	ps := predSlot{p: p, side: side}
+	if opts.TrackArcs {
+		ps.lastType = make(map[coherence.Addr]coherence.MsgType)
+	}
+	return ps, nil
+}
+
+// evaluator accumulates one Result from records fed to it in arrival
+// order. Evaluate runs one per slot; EvaluateStream runs one over the
+// whole stream. Both feed records through the one observe body.
+type evaluator struct {
+	res  Result
+	opts Options
+}
+
+func newResult(app string, cfg core.Config, opts Options) Result {
+	res := Result{App: app, Config: cfg}
 	if opts.TrackArcs {
 		res.Arcs = make(map[Arc]*Counter)
 	}
-	for s := range partials {
-		sp := &partials[s]
-		side := trace.Side(s % 2)
-		res.Overall.Total += sp.counter.Total
-		res.Overall.Hits += sp.counter.Hits
-		if side == trace.CacheSide {
-			res.Cache.Total += sp.counter.Total
-			res.Cache.Hits += sp.counter.Hits
-		} else {
-			res.Dir.Total += sp.counter.Total
-			res.Dir.Hits += sp.counter.Hits
-		}
-		for t := range sp.types {
-			res.Types[t].Total += sp.types[t].Total
-			res.Types[t].Hits += sp.types[t].Hits
-		}
-		for len(res.PerIter) < len(sp.perIter) {
-			res.PerIter = append(res.PerIter, Counter{})
-		}
-		for i := range sp.perIter {
-			res.PerIter[i].Total += sp.perIter[i].Total
-			res.PerIter[i].Hits += sp.perIter[i].Hits
-		}
-		// Counter totals are order-insensitive sums; walking slots in
-		// fixed order keeps the merge deterministic regardless, and the
-		// inner map range only accumulates into keyed counters.
-		for arc, c := range sp.arcs {
-			rc := res.Arcs[arc]
-			if rc == nil {
-				rc = &Counter{}
-				res.Arcs[arc] = rc
-			}
-			rc.Total += c.Total
-			rc.Hits += c.Hits
-		}
-		res.Memory.MHREntries += sp.memory.MHREntries
-		res.Memory.PHTEntries += sp.memory.PHTEntries
-		if side == trace.CacheSide {
-			res.CacheMemory.MHREntries += sp.memory.MHREntries
-			res.CacheMemory.PHTEntries += sp.memory.PHTEntries
-		} else {
-			res.DirMemory.MHREntries += sp.memory.MHREntries
-			res.DirMemory.PHTEntries += sp.memory.PHTEntries
-		}
+	return res
+}
+
+// observe feeds one record through ps, its slot, and updates every
+// aggregate. This is the per-record hot path.
+//
+//cosmosvet:hotpath
+func (ev *evaluator) observe(ps *predSlot, rec *trace.Record) {
+	if ev.opts.MaxIterations > 0 && int(rec.Iter) >= ev.opts.MaxIterations {
+		return
 	}
-	return res, nil
+	res := &ev.res
+	p := ps.p
+	_, _, correct := p.Observe(rec.Addr, rec.Tuple())
+	if ev.opts.ForgetOnWriteback && rec.Side == trace.CacheSide && rec.Type == coherence.WritebackAck {
+		p.Forget(rec.Addr)
+	}
+
+	res.Overall.add(correct)
+	if rec.Side == trace.CacheSide {
+		res.Cache.add(correct)
+	} else {
+		res.Dir.add(correct)
+	}
+	res.Types[rec.Type].add(correct)
+	for int(rec.Iter) >= len(res.PerIter) {
+		//cosmosvet:allow hotpath grows once to the trace's iteration count, then never again
+		res.PerIter = append(res.PerIter, Counter{})
+	}
+	res.PerIter[rec.Iter].add(correct)
+
+	if ev.opts.TrackArcs {
+		if from, ok := ps.lastType[rec.Addr]; ok {
+			arc := Arc{Side: rec.Side, From: from, To: rec.Type}
+			c := res.Arcs[arc]
+			if c == nil {
+				//cosmosvet:allow hotpath one counter per distinct arc, first sighting only
+				c = &Counter{}
+				res.Arcs[arc] = c
+			}
+			c.add(correct)
+		}
+		ps.lastType[rec.Addr] = rec.Type
+	}
+}
+
+// retire folds a finished slot's predictor memory stats into the
+// result and returns the predictor to the pool.
+func (ev *evaluator) retire(ps *predSlot) {
+	ev.res.Memory.Add(ps.p)
+	if ps.side == trace.CacheSide {
+		ev.res.CacheMemory.Add(ps.p)
+	} else {
+		ev.res.DirMemory.Add(ps.p)
+	}
+	releasePredictor(ps.p)
+}
+
+// merge folds a partial result (one slot's) into r, consuming o. Every
+// field is a sum, so the merged totals equal one walk over all the
+// records.
+func (r *Result) merge(o *Result) {
+	r.Overall.merge(o.Overall)
+	r.Cache.merge(o.Cache)
+	r.Dir.merge(o.Dir)
+	for t := range o.Types {
+		r.Types[t].merge(o.Types[t])
+	}
+	if r.PerIter == nil {
+		// A partial is spent once merged, so the first non-empty one's
+		// array is taken over rather than copied.
+		r.PerIter, o.PerIter = o.PerIter, nil
+	}
+	if n := len(o.PerIter); n > len(r.PerIter) {
+		r.PerIter = append(r.PerIter, make([]Counter, n-len(r.PerIter))...)
+	}
+	for i, c := range o.PerIter {
+		r.PerIter[i].merge(c)
+	}
+	// The map range only accumulates into keyed counters, so its order
+	// cannot change the result.
+	for arc, c := range o.Arcs {
+		rc := r.Arcs[arc]
+		if rc == nil {
+			rc = &Counter{}
+			r.Arcs[arc] = rc
+		}
+		rc.merge(*c)
+	}
+	addMemory(&r.Memory, o.Memory)
+	addMemory(&r.CacheMemory, o.CacheMemory)
+	addMemory(&r.DirMemory, o.DirMemory)
+}
+
+func addMemory(m *core.MemoryStats, o core.MemoryStats) {
+	m.MHREntries += o.MHREntries
+	m.PHTEntries += o.PHTEntries
 }
 
 // DominantArcs returns the side's arcs sorted by descending reference

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 
-	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 )
@@ -57,107 +56,15 @@ func releaseWindow(buf []trace.Record) {
 	windowPool.Put(buf[:cap(buf)])
 }
 
-// serialEval is the shared per-record state of the arrival-order
-// evaluators: evaluateSerial drives it from a materialized record
-// slice, EvaluateStream from bounded windows. One observe body keeps
-// the streaming path identical to the serial reference by
-// construction.
-type serialEval struct {
-	res      *Result
-	opts     Options
-	preds    []*core.Predictor
-	lastType map[slotAddr]coherence.MsgType
-}
-
-func newSerialEval(app string, nodes int, cfg core.Config, opts Options) (*serialEval, error) {
-	ev := &serialEval{
-		res:  &Result{App: app, Config: cfg},
-		opts: opts,
-		// One predictor per (node, side), borrowed from the shared pool
-		// (a reset predictor is state-identical to a fresh one).
-		preds: make([]*core.Predictor, 2*nodes),
-	}
-	if opts.TrackArcs {
-		ev.res.Arcs = make(map[Arc]*Counter)
-		ev.lastType = make(map[slotAddr]coherence.MsgType, 1024)
-	}
-	for i := range ev.preds {
-		p, err := borrowPredictor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ev.preds[i] = p
-	}
-	return ev, nil
-}
-
-// observe feeds one record through its slot's predictor and updates
-// every aggregate. This is the per-record hot path.
-//
-//cosmosvet:hotpath
-func (ev *serialEval) observe(rec trace.Record) {
-	if ev.opts.MaxIterations > 0 && int(rec.Iter) >= ev.opts.MaxIterations {
-		return
-	}
-	res := ev.res
-	slot := int(rec.Node)*2 + int(rec.Side)
-	p := ev.preds[slot]
-	_, _, correct := p.Observe(rec.Addr, rec.Tuple())
-	if ev.opts.ForgetOnWriteback && rec.Side == trace.CacheSide && rec.Type == coherence.WritebackAck {
-		p.Forget(rec.Addr)
-	}
-
-	res.Overall.add(correct)
-	if rec.Side == trace.CacheSide {
-		res.Cache.add(correct)
-	} else {
-		res.Dir.add(correct)
-	}
-	res.Types[rec.Type].add(correct)
-	for int(rec.Iter) >= len(res.PerIter) {
-		//cosmosvet:allow hotpath grows once to the trace's iteration count, then never again
-		res.PerIter = append(res.PerIter, Counter{})
-	}
-	res.PerIter[rec.Iter].add(correct)
-
-	if ev.opts.TrackArcs {
-		key := slotAddr{slot: int32(slot), addr: rec.Addr}
-		if from, ok := ev.lastType[key]; ok {
-			arc := Arc{Side: rec.Side, From: from, To: rec.Type}
-			c := res.Arcs[arc]
-			if c == nil {
-				//cosmosvet:allow hotpath one counter per distinct arc, first sighting only
-				c = &Counter{}
-				res.Arcs[arc] = c
-			}
-			c.add(correct)
-		}
-		ev.lastType[key] = rec.Type
-	}
-}
-
-// finish folds predictor memory stats into the result and returns the
-// predictors to the pool.
-func (ev *serialEval) finish() *Result {
-	for i, p := range ev.preds {
-		ev.res.Memory.Add(p)
-		if i%2 == int(trace.CacheSide) {
-			ev.res.CacheMemory.Add(p)
-		} else {
-			ev.res.DirMemory.Add(p)
-		}
-		releasePredictor(p)
-	}
-	return ev.res
-}
-
-// EvaluateStream runs the serial arrival-order evaluation over a
-// record stream without ever materializing the trace: at most one
+// EvaluateStream runs the arrival-order evaluation over a record
+// stream without ever materializing the trace: at most one
 // WindowSize-record window (recycled through a pool) plus the per-slot
-// predictor state is resident. For the same records it produces a
-// Result identical to Evaluate's — the streaming-equivalence
-// regression pins this — which is what keeps peak evaluation RSS flat
-// as node count (and with it trace length) grows.
+// predictor state is resident, which is what keeps peak evaluation RSS
+// flat as node count (and with it trace length) grows. It feeds every
+// record through the same per-record body as Evaluate's per-slot walk,
+// and for the same records it produces an identical Result; being the
+// plain arrival-order walk, it is the reference the equivalence
+// regression tests compare Evaluate against.
 //
 // app and nodes come from the stream's header
 // (trace.StreamReader.App/Nodes) or from the machine that is being
@@ -173,19 +80,26 @@ func EvaluateStream(src RecordSource, app string, nodes int, cfg core.Config, op
 	if win <= 0 {
 		win = DefaultWindowSize
 	}
-	ev, err := newSerialEval(app, nodes, cfg, opts.Options)
-	if err != nil {
-		return nil, err
+	// One predictor per (node, side), borrowed from the shared pool (a
+	// reset predictor is state-identical to a fresh one).
+	slots := make([]predSlot, 2*nodes)
+	for i := range slots {
+		var err error
+		if slots[i], err = newPredSlot(trace.Side(i%2), cfg, opts.Options); err != nil {
+			return nil, err
+		}
 	}
+	ev := evaluator{res: newResult(app, cfg, opts.Options), opts: opts.Options}
 	buf := borrowWindow(win)
 	defer releaseWindow(buf)
 	for {
 		n, err := src.Next(buf)
-		for _, rec := range buf[:n] {
+		for i := range buf[:n] {
+			rec := &buf[i]
 			if int(rec.Node) >= nodes {
 				return nil, fmt.Errorf("stats: record references node %d of %d", rec.Node, nodes)
 			}
-			ev.observe(rec)
+			ev.observe(&slots[trace.SlotIndex(int(rec.Node), rec.Side)], rec)
 		}
 		if opts.OnWindow != nil && n > 0 {
 			opts.OnWindow(n)
@@ -197,5 +111,8 @@ func EvaluateStream(src RecordSource, app string, nodes int, cfg core.Config, op
 			return nil, err
 		}
 	}
-	return ev.finish(), nil
+	for i := range slots {
+		ev.retire(&slots[i])
+	}
+	return &ev.res, nil
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,6 +37,77 @@ func messyTrace(nodes, records int) *trace.Trace {
 		}
 	}
 	return tr
+}
+
+// sliceSource is an in-memory RecordSource over a record slice.
+type sliceSource struct{ recs []trace.Record }
+
+func (s *sliceSource) Next(buf []trace.Record) (int, error) {
+	if len(s.recs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(buf, s.recs)
+	s.recs = s.recs[n:]
+	return n, nil
+}
+
+// TestEvaluateMatchesStreamReference pins Evaluate's per-slot walk to
+// the arrival-order reference (EvaluateStream) at every pool width,
+// with arc tracking, an iteration cap and forget-on-writeback on
+// together.
+func TestEvaluateMatchesStreamReference(t *testing.T) {
+	tr := messyTrace(5, 4000)
+	// Iterations running backwards leave each slot's last record at
+	// iteration 0, so every slot outgrows its initial PerIter capacity.
+	backwards := messyTrace(5, 4000)
+	for i := range backwards.Records {
+		backwards.Records[i].Iter = int32(backwards.Iterations-1) - backwards.Records[i].Iter
+	}
+	all := Options{TrackArcs: true, MaxIterations: 5, ForgetOnWriteback: true}
+	for _, opts := range []Options{{}, {TrackArcs: true}, all} {
+		for depth := 1; depth <= 3; depth++ {
+			checkAgainstStream(t, tr, core.Config{Depth: depth}, opts)
+			checkAgainstStream(t, backwards, core.Config{Depth: depth}, opts)
+		}
+	}
+	// The options must each change the result, or the equivalence
+	// above would not be exercising them.
+	base, err := Evaluate(tr, core.Config{Depth: 2}, Options{TrackArcs: true, MaxIterations: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forget, err := Evaluate(tr, core.Config{Depth: 2}, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Overall == forget.Overall {
+		t.Error("ForgetOnWriteback left the messy trace's accuracy unchanged")
+	}
+	if len(forget.PerIter) != 5 || len(forget.Arcs) == 0 {
+		t.Errorf("MaxIterations/TrackArcs not in effect: %d iterations, %d arcs", len(forget.PerIter), len(forget.Arcs))
+	}
+}
+
+// checkAgainstStream requires Evaluate at pool widths 0/1/2/8 to
+// DeepEqual EvaluateStream over the same records.
+func checkAgainstStream(t *testing.T, tr *trace.Trace, cfg core.Config, opts Options) {
+	t.Helper()
+	want, err := EvaluateStream(&sliceSource{recs: tr.Records}, tr.App, tr.Nodes, cfg, StreamOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 2, 8} {
+		o := opts
+		o.Workers = workers
+		got, err := Evaluate(tr, cfg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("opts %+v depth %d workers %d: Evaluate diverges from the arrival-order walk:\n%+v\n%+v",
+				opts, cfg.Depth, workers, got, want)
+		}
+	}
 }
 
 // TestEvaluateStreamMatchesSerial pins the streaming contract: a
@@ -78,7 +150,7 @@ func TestEvaluateStreamMatchesSerial(t *testing.T) {
 }
 
 // TestEvaluateStreamMaxIterations checks the windowed path honors the
-// iteration cutoff the same way the serial path does.
+// iteration cutoff the same way Evaluate does.
 func TestEvaluateStreamMaxIterations(t *testing.T) {
 	tr := messyTrace(3, 800)
 	cfg := core.Config{Depth: 1}

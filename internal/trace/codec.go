@@ -14,7 +14,7 @@ import (
 // Binary trace format (CTRC v2):
 //
 //	magic "CTRC" | version u16 | nodes u16 | iterations u32 |
-//	appLen u16 | app bytes | count u64 | records... | footer
+//	appLen u16 | reserved u32 | app bytes | count u64 | records... | footer
 //
 // Each record is 18 bytes little-endian: node i16, side u8, sender
 // i16, type u8, addr u64, iter i32.
@@ -28,6 +28,10 @@ import (
 // versioned so traces written by older builds also fail loudly instead
 // of decoding garbage: v1 files (no footer) are rejected with a
 // version-mismatch error telling the caller to regenerate.
+//
+// This file holds the one encoder and one decoder of each piece —
+// header, record, footer — that Write, Read and the streaming
+// writer/reader (stream.go) all share.
 
 const (
 	traceMagic = "CTRC"
@@ -39,177 +43,213 @@ const (
 	recordSize  = 18
 	footerMagic = "CTRE"
 	footerSize  = 16
+	// maxRecords bounds the header's record count: a sanity check
+	// against corrupt headers.
+	maxRecords = 1 << 31
 )
 
 // crcTable is the Castagnoli polynomial table (hardware-accelerated on
-// amd64/arm64), shared by Write and Read.
+// amd64/arm64), shared by every encoder and decoder.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// countingWriter tracks how many payload bytes passed through, so the
-// footer can record the expected length.
-type countingWriter struct {
-	w io.Writer
-	n uint64
+// header is the CTRC v2 header: everything before the first record.
+type header struct {
+	app   string
+	nodes int
+	iters uint32
+	count uint64
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += uint64(n)
-	return n, err
+// encode returns the header bytes, rejecting fields the fixed-width
+// layout cannot hold.
+func (h header) encode() ([]byte, error) {
+	if len(h.app) > 1<<16-1 {
+		return nil, fmt.Errorf("trace: app name of %d bytes does not fit the header", len(h.app))
+	}
+	if h.nodes < 0 || h.nodes > 1<<16-1 {
+		return nil, fmt.Errorf("trace: node count %d does not fit the header", h.nodes)
+	}
+	b := make([]byte, 0, 4+14+len(h.app)+8)
+	b = append(b, traceMagic...)
+	b = binary.LittleEndian.AppendUint16(b, Version)
+	b = binary.LittleEndian.AppendUint16(b, uint16(h.nodes))
+	b = binary.LittleEndian.AppendUint32(b, h.iters)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(h.app)))
+	b = append(b, 0, 0, 0, 0) // reserved
+	b = append(b, h.app...)
+	return binary.LittleEndian.AppendUint64(b, h.count), nil
+}
+
+// readHeader decodes and checks a header: magic, version, and a
+// plausible record count.
+func readHeader(r io.Reader) (header, error) {
+	var fixed [4 + 14]byte
+	if _, err := io.ReadFull(r, fixed[:4]); err != nil {
+		return header{}, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(fixed[:4]) != traceMagic {
+		return header{}, fmt.Errorf("trace: bad magic %q", fixed[:4])
+	}
+	hdr := fixed[4:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return header{}, fmt.Errorf("trace: reading header: %w", err)
+	}
+	if v := binary.LittleEndian.Uint16(hdr[0:]); v != Version {
+		return header{}, fmt.Errorf("trace: unsupported version %d (want %d); regenerate the trace with this build", v, Version)
+	}
+	h := header{
+		nodes: int(binary.LittleEndian.Uint16(hdr[2:])),
+		iters: binary.LittleEndian.Uint32(hdr[4:]),
+	}
+	app := make([]byte, binary.LittleEndian.Uint16(hdr[8:]))
+	if _, err := io.ReadFull(r, app); err != nil {
+		return header{}, fmt.Errorf("trace: reading app name: %w", err)
+	}
+	h.app = string(app)
+	var cnt [8]byte
+	if _, err := io.ReadFull(r, cnt[:]); err != nil {
+		return header{}, fmt.Errorf("trace: reading count: %w", err)
+	}
+	if h.count = binary.LittleEndian.Uint64(cnt[:]); h.count > maxRecords {
+		return header{}, fmt.Errorf("trace: implausible record count %d", h.count)
+	}
+	return h, nil
+}
+
+// putRecord encodes r into b.
+func putRecord(b *[recordSize]byte, r Record) {
+	binary.LittleEndian.PutUint16(b[0:], uint16(r.Node))
+	b[2] = byte(r.Side)
+	binary.LittleEndian.PutUint16(b[3:], uint16(r.Sender))
+	b[5] = byte(r.Type)
+	binary.LittleEndian.PutUint64(b[6:], uint64(r.Addr))
+	binary.LittleEndian.PutUint32(b[14:], uint32(r.Iter))
+}
+
+// decodeRecord decodes record idx of a trace over nodes nodes and
+// iters iterations and validates everything an evaluator indexes or
+// encodes with: out-of-range nodes would index predictor slices out of
+// bounds; senders beyond 12 bits would panic tuple packing; an
+// iteration past the header's count would size per-iteration arrays
+// from a crafted number. A count of 0 leaves that bound unchecked.
+func decodeRecord(b *[recordSize]byte, idx uint64, nodes int, iters uint32) (Record, error) {
+	r := Record{
+		Node:   coherence.NodeID(int16(binary.LittleEndian.Uint16(b[0:]))),
+		Side:   Side(b[2]),
+		Sender: coherence.NodeID(int16(binary.LittleEndian.Uint16(b[3:]))),
+		Type:   coherence.MsgType(b[5]),
+		Addr:   coherence.Addr(binary.LittleEndian.Uint64(b[6:])),
+		Iter:   int32(binary.LittleEndian.Uint32(b[14:])),
+	}
+	if r.Side >= numSides || !r.Type.Valid() ||
+		r.Node < 0 || (nodes > 0 && int(r.Node) >= nodes) ||
+		r.Sender < 0 || r.Sender >= 1<<12 ||
+		r.Iter < 0 || (iters > 0 && uint32(r.Iter) >= iters) {
+		return Record{}, fmt.Errorf("trace: corrupt record %d: %+v", idx, r)
+	}
+	return r, nil
+}
+
+// payloadSum counts and checksums every byte written to it: the
+// running totals the footer pins. Encoders write the payload through
+// it (io.MultiWriter); decoders tee what they consume into it.
+type payloadSum struct {
+	crc hash.Hash32
+	n   uint64
+}
+
+func newPayloadSum() *payloadSum { return &payloadSum{crc: crc32.New(crcTable)} }
+
+func (p *payloadSum) Write(b []byte) (int, error) {
+	p.crc.Write(b)
+	p.n += uint64(len(b))
+	return len(b), nil
+}
+
+// footer returns the footer sealing the bytes summed so far.
+func (p *payloadSum) footer() [footerSize]byte {
+	var foot [footerSize]byte
+	copy(foot[0:], footerMagic)
+	binary.LittleEndian.PutUint64(foot[4:], p.n)
+	binary.LittleEndian.PutUint32(foot[12:], p.crc.Sum32())
+	return foot
+}
+
+// checkFooter reads the footer from r and verifies it against the
+// length and checksum of the payload actually consumed. r must not
+// feed p (the footer bytes are not part of themselves).
+func (p *payloadSum) checkFooter(r io.Reader) error {
+	payloadLen, payloadSum := p.n, p.crc.Sum32()
+	var foot [footerSize]byte
+	if _, err := io.ReadFull(r, foot[:]); err != nil {
+		return fmt.Errorf("trace: reading footer (truncated file?): %w", err)
+	}
+	if string(foot[0:4]) != footerMagic {
+		return fmt.Errorf("trace: bad footer magic %q (truncated file?)", foot[0:4])
+	}
+	if wantLen := binary.LittleEndian.Uint64(foot[4:]); wantLen != payloadLen {
+		return fmt.Errorf("trace: payload length %d, footer says %d (truncated file?)", payloadLen, wantLen)
+	}
+	if wantSum := binary.LittleEndian.Uint32(foot[12:]); wantSum != payloadSum {
+		return fmt.Errorf("trace: payload checksum %#x, footer says %#x (corrupted file?)", payloadSum, wantSum)
+	}
+	return nil
 }
 
 // Write serializes the trace to w in the v2 format.
 func Write(w io.Writer, t *Trace) error {
-	if len(t.App) > 1<<16-1 {
-		return fmt.Errorf("trace: app name of %d bytes does not fit the header", len(t.App))
-	}
-	if t.Nodes < 0 || t.Nodes > 1<<16-1 {
-		return fmt.Errorf("trace: node count %d does not fit the header", t.Nodes)
+	hdr, err := header{
+		app:   t.App,
+		nodes: t.Nodes,
+		iters: uint32(t.Iterations),
+		count: uint64(len(t.Records)),
+	}.encode()
+	if err != nil {
+		return err
 	}
 	bw := bufio.NewWriter(w)
-	// Every payload byte flows through the counter and the checksum; the
-	// footer then pins both.
-	sum := crc32.New(crcTable)
-	cw := &countingWriter{w: io.MultiWriter(bw, sum)}
-	if _, err := io.WriteString(cw, traceMagic); err != nil {
-		return err
-	}
-	var hdr [14]byte
-	binary.LittleEndian.PutUint16(hdr[0:], Version)
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(t.Nodes))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(t.Iterations))
-	binary.LittleEndian.PutUint16(hdr[8:], uint16(len(t.App)))
-	// hdr[10:14] reserved (zero).
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(cw, t.App); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(t.Records)))
-	if _, err := cw.Write(cnt[:]); err != nil {
+	sum := newPayloadSum()
+	pw := io.MultiWriter(bw, sum)
+	if _, err := pw.Write(hdr); err != nil {
 		return err
 	}
 	var rec [recordSize]byte
 	for _, r := range t.Records {
-		binary.LittleEndian.PutUint16(rec[0:], uint16(r.Node))
-		rec[2] = byte(r.Side)
-		binary.LittleEndian.PutUint16(rec[3:], uint16(r.Sender))
-		rec[5] = byte(r.Type)
-		binary.LittleEndian.PutUint64(rec[6:], uint64(r.Addr))
-		binary.LittleEndian.PutUint32(rec[14:], uint32(r.Iter))
-		if _, err := cw.Write(rec[:]); err != nil {
+		putRecord(&rec, r)
+		if _, err := pw.Write(rec[:]); err != nil {
 			return err
 		}
 	}
-	var foot [footerSize]byte
-	copy(foot[0:], footerMagic)
-	binary.LittleEndian.PutUint64(foot[4:], cw.n)
-	binary.LittleEndian.PutUint32(foot[12:], sum.Sum32())
+	foot := sum.footer()
 	if _, err := bw.Write(foot[:]); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// checksumReader feeds every byte it yields into the checksum and the
-// byte counter, so Read can verify the footer against what it actually
-// consumed.
-type checksumReader struct {
-	r   io.Reader
-	sum hash.Hash32
-	n   uint64
-}
-
-func (c *checksumReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.sum.Write(p[:n])
-		c.n += uint64(n)
-	}
-	return n, err
-}
-
-// Read deserializes a trace written by Write, verifying the v2 length
-// and checksum footer before returning it.
+// Read deserializes a trace written by Write (or StreamWriter) by
+// draining a StreamReader, so the v2 length and checksum footer is
+// verified before the trace is returned. Records grow by append rather
+// than trusting the header's count with one huge up-front allocation:
+// a corrupt header then fails at the first short read instead of
+// attempting a multi-gigabyte make().
 func Read(r io.Reader) (*Trace, error) {
-	cr := &checksumReader{r: bufio.NewReader(r), sum: crc32.New(crcTable)}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	sr, err := NewStreamReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var hdr [14]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:]); v != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d); regenerate the trace with this build", v, Version)
-	}
-	t := &Trace{
-		Nodes:      int(binary.LittleEndian.Uint16(hdr[2:])),
-		Iterations: int(binary.LittleEndian.Uint32(hdr[4:])),
-	}
-	app := make([]byte, binary.LittleEndian.Uint16(hdr[8:]))
-	if _, err := io.ReadFull(cr, app); err != nil {
-		return nil, fmt.Errorf("trace: reading app name: %w", err)
-	}
-	t.App = string(app)
-	var cnt [8]byte
-	if _, err := io.ReadFull(cr, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(cnt[:])
-	const maxRecords = 1 << 31 // sanity bound against corrupt headers
-	if n > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	// Grow with append rather than trusting the header's count with one
-	// huge up-front allocation: a corrupt header then fails at the
-	// first short read instead of attempting a multi-gigabyte make().
-	var rec [recordSize]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(cr, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
+	t := &Trace{App: sr.App(), Nodes: sr.Nodes(), Iterations: sr.Iterations()}
+	var buf [1024]Record
+	for {
+		n, err := sr.Next(buf[:])
+		t.Records = append(t.Records, buf[:n]...)
+		if err == io.EOF {
+			return t, nil
 		}
-		r := Record{
-			Node:   coherence.NodeID(int16(binary.LittleEndian.Uint16(rec[0:]))),
-			Side:   Side(rec[2]),
-			Sender: coherence.NodeID(int16(binary.LittleEndian.Uint16(rec[3:]))),
-			Type:   coherence.MsgType(rec[5]),
-			Addr:   coherence.Addr(binary.LittleEndian.Uint64(rec[6:])),
-			Iter:   int32(binary.LittleEndian.Uint32(rec[14:])),
+		if err != nil {
+			return nil, err
 		}
-		// Validate everything an evaluator indexes or encodes with:
-		// out-of-range nodes would index predictor slices out of
-		// bounds; senders beyond 12 bits would panic tuple packing.
-		if r.Side >= numSides || !r.Type.Valid() ||
-			r.Node < 0 || (t.Nodes > 0 && int(r.Node) >= t.Nodes) ||
-			r.Sender < 0 || r.Sender >= 1<<12 || r.Iter < 0 {
-			return nil, fmt.Errorf("trace: corrupt record %d: %+v", i, r)
-		}
-		t.Records = append(t.Records, r)
 	}
-	// The payload is fully consumed; freeze the running totals before
-	// reading the footer (the footer bytes are not part of themselves).
-	payloadLen, payloadSum := cr.n, cr.sum.Sum32()
-	var foot [footerSize]byte
-	if _, err := io.ReadFull(cr, foot[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading footer (truncated file?): %w", err)
-	}
-	if string(foot[0:4]) != footerMagic {
-		return nil, fmt.Errorf("trace: bad footer magic %q (truncated file?)", foot[0:4])
-	}
-	if wantLen := binary.LittleEndian.Uint64(foot[4:]); wantLen != payloadLen {
-		return nil, fmt.Errorf("trace: payload length %d, footer says %d (truncated file?)", payloadLen, wantLen)
-	}
-	if wantSum := binary.LittleEndian.Uint32(foot[12:]); wantSum != payloadSum {
-		return nil, fmt.Errorf("trace: payload checksum %#x, footer says %#x (corrupted file?)", payloadSum, wantSum)
-	}
-	return t, nil
 }
 
 // WriteText dumps the trace in a human-readable one-record-per-line

@@ -10,9 +10,10 @@ package trace
 // into per-slot sub-streams therefore preserves exactly the state
 // evolution of the arrival-order walk: each slot sees its records in
 // the original relative order, and no information crosses a slot
-// boundary. The evaluators exploit this to fan the ≤ 2×Nodes slot
-// streams over a worker pool and re-aggregate counters in fixed slot
-// order, byte-identical to the serial walk.
+// boundary. The in-memory evaluators therefore always walk the
+// ≤ 2×Nodes slot streams one by one — on a worker pool or serially —
+// and re-aggregate counters in fixed slot order, identical to the
+// arrival-order walk.
 
 // Partition is the per-slot split of a trace's records. Slot s holds
 // the records of node s/2 on side s%2 (cache, then directory), each
@@ -32,14 +33,17 @@ func (p *Partition) Slots() int { return len(p.slots) }
 // shared and must not be mutated.
 func (p *Partition) Records(s int) []Record { return p.slots[s] }
 
-// SlotIndex maps a record's (node, side) to its slot number, matching
-// the slot layout the serial evaluators use (node*2 + side).
+// SlotIndex maps a record's (node, side) to its slot number
+// (node*2 + side), the layout shared by Partition and the arrival-order
+// evaluators' per-slot predictor arrays.
 func SlotIndex(node int, side Side) int { return node*2 + int(side) }
 
 // Partition returns the slot-sharded view of the trace, built on first
-// use and memoized (concurrent callers share one build). The caller
-// must not append to t.Records afterwards; captured and decoded traces
-// are immutable by convention.
+// use and memoized (concurrent callers share one build): every
+// stats.Evaluate of the trace walks it, whatever its worker count. It
+// holds a second copy of the records. The caller must not append to
+// t.Records afterwards; captured and decoded traces are immutable by
+// convention.
 func (t *Trace) Partition() *Partition {
 	t.partitionOnce.Do(func() {
 		nodes := t.Nodes

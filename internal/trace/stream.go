@@ -2,22 +2,21 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 )
 
-// This file adds chunked streaming over the CTRC v2 codec, so large
-// machines (1024 nodes) can capture and evaluate traces without ever
-// materializing the record slice: StreamWriter appends records to a
-// file as they are observed, patching the header counts and computing
-// the footer checksum in a sequential re-read at Close; StreamReader
-// hands records out in bounded windows. Files written by StreamWriter
-// and Write are byte-identical for the same records, so the trace
-// cache, Read, and Verify all work on either.
+// This file adds chunked streaming over the CTRC v2 codec (codec.go),
+// so large machines (1024 nodes) can capture and evaluate traces
+// without ever materializing the record slice: StreamWriter appends
+// records to a file as they are observed, rewriting the header with
+// the final counts and computing the footer checksum in a sequential
+// re-read at Close; StreamReader hands records out in bounded windows
+// and is the only decoder (Read drains one). Files written by
+// StreamWriter and Write are byte-identical for the same records, so
+// the trace cache, Read, and Verify all work on either.
 
 // streamBufSize is the encode/decode buffer: large enough to amortize
 // syscalls, small enough to keep streaming memory bounded.
@@ -25,16 +24,13 @@ const streamBufSize = 64 * 1024
 
 // StreamWriter writes a CTRC v2 trace incrementally to a seekable
 // file. The header's iteration and record counts are unknown until the
-// run ends, so Close seeks back to patch them and then re-reads the
-// payload sequentially to compute the footer checksum — O(1) memory
-// throughout.
+// run ends, so Close rewrites the header with the final counts and then
+// re-reads the records sequentially to compute the footer checksum —
+// O(1) memory throughout.
 type StreamWriter struct {
 	f      io.ReadWriteSeeker
 	bw     *bufio.Writer
-	app    string
-	nodes  int
-	count  uint64
-	iters  uint32
+	hdr    header
 	closed bool
 	err    error
 	// rec is the per-record encode buffer. It lives on the struct
@@ -47,29 +43,14 @@ type StreamWriter struct {
 // NewStreamWriter starts a CTRC v2 file for app over nodes on f
 // (typically an *os.File positioned at offset 0).
 func NewStreamWriter(f io.ReadWriteSeeker, app string, nodes int) (*StreamWriter, error) {
-	if len(app) > 1<<16-1 {
-		return nil, fmt.Errorf("trace: app name of %d bytes does not fit the header", len(app))
-	}
-	if nodes < 0 || nodes > 1<<16-1 {
-		return nil, fmt.Errorf("trace: node count %d does not fit the header", nodes)
-	}
-	w := &StreamWriter{f: f, bw: bufio.NewWriterSize(f, streamBufSize), app: app, nodes: nodes}
-	if _, err := io.WriteString(w.bw, traceMagic); err != nil {
+	w := &StreamWriter{f: f, bw: bufio.NewWriterSize(f, streamBufSize), hdr: header{app: app, nodes: nodes}}
+	// A placeholder header (zero counts) reserves the space Close
+	// rewrites.
+	hdr, err := w.hdr.encode()
+	if err != nil {
 		return nil, err
 	}
-	var hdr [14]byte
-	binary.LittleEndian.PutUint16(hdr[0:], Version)
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(nodes))
-	// hdr[4:8] iterations and the record count are patched by Close.
-	binary.LittleEndian.PutUint16(hdr[8:], uint16(len(app)))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	if _, err := io.WriteString(w.bw, app); err != nil {
-		return nil, err
-	}
-	var cnt [8]byte
-	if _, err := w.bw.Write(cnt[:]); err != nil {
+	if _, err := w.bw.Write(hdr); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -85,30 +66,25 @@ func (w *StreamWriter) Append(r Record) error {
 		w.err = fmt.Errorf("trace: Append after Close")
 		return w.err
 	}
-	rec := &w.rec
-	binary.LittleEndian.PutUint16(rec[0:], uint16(r.Node))
-	rec[2] = byte(r.Side)
-	binary.LittleEndian.PutUint16(rec[3:], uint16(r.Sender))
-	rec[5] = byte(r.Type)
-	binary.LittleEndian.PutUint64(rec[6:], uint64(r.Addr))
-	binary.LittleEndian.PutUint32(rec[14:], uint32(r.Iter))
-	if _, err := w.bw.Write(rec[:]); err != nil {
+	putRecord(&w.rec, r)
+	if _, err := w.bw.Write(w.rec[:]); err != nil {
 		w.err = err
 		return err
 	}
-	w.count++
-	if it := uint32(r.Iter) + 1; r.Iter >= 0 && it > w.iters {
-		w.iters = it
+	w.hdr.count++
+	if it := uint32(r.Iter) + 1; r.Iter >= 0 && it > w.hdr.iters {
+		w.hdr.iters = it
 	}
 	return nil
 }
 
 // Count returns how many records have been appended.
-func (w *StreamWriter) Count() uint64 { return w.count }
+func (w *StreamWriter) Count() uint64 { return w.hdr.count }
 
-// Close flushes the payload, patches the header's iteration and record
-// counts, computes the footer checksum in one sequential re-read, and
-// appends the footer. The caller still owns f (and closes/syncs it).
+// Close flushes the records, rewrites the header with the final
+// iteration and record counts, computes the footer checksum in one
+// sequential re-read, and appends the footer. The caller still owns f
+// (and closes/syncs it).
 func (w *StreamWriter) Close() error {
 	if w.err != nil {
 		return w.err
@@ -121,59 +97,45 @@ func (w *StreamWriter) Close() error {
 	if err := w.bw.Flush(); err != nil {
 		return fail(err)
 	}
-	// Patch iterations (offset 8 = magic + version + nodes) and the
-	// record count (right after the app name).
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], w.iters)
-	if err := w.writeAt(buf[:4], 8); err != nil {
+	hdr, err := w.hdr.encode()
+	if err != nil {
 		return fail(err)
 	}
-	binary.LittleEndian.PutUint64(buf[:8], w.count)
-	if err := w.writeAt(buf[:8], int64(18+len(w.app))); err != nil {
-		return fail(err)
-	}
-	// Checksum pass: the payload now on disk is exactly what Write
-	// would have produced; stream it through the CRC.
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fail(err)
 	}
-	payloadLen := uint64(18+len(w.app)+8) + w.count*recordSize
-	sum := crc32.New(crcTable)
-	if _, err := io.CopyN(sum, bufio.NewReaderSize(w.f, streamBufSize), int64(payloadLen)); err != nil {
-		return fail(fmt.Errorf("trace: checksumming streamed payload: %w", err))
-	}
-	if _, err := w.f.Seek(int64(payloadLen), io.SeekStart); err != nil {
+	// Checksum pass: the payload now on disk is exactly what Write
+	// would have produced; the header is summed as it is rewritten, the
+	// records streamed back from just past it.
+	sum := newPayloadSum()
+	if _, err := io.MultiWriter(w.f, sum).Write(hdr); err != nil {
 		return fail(err)
 	}
-	var foot [footerSize]byte
-	copy(foot[0:], footerMagic)
-	binary.LittleEndian.PutUint64(foot[4:], payloadLen)
-	binary.LittleEndian.PutUint32(foot[12:], sum.Sum32())
+	records := int64(w.hdr.count * recordSize)
+	if _, err := io.CopyN(sum, bufio.NewReaderSize(w.f, streamBufSize), records); err != nil {
+		return fail(fmt.Errorf("trace: checksumming streamed payload: %w", err))
+	}
+	if _, err := w.f.Seek(int64(len(hdr))+records, io.SeekStart); err != nil {
+		return fail(err)
+	}
+	foot := sum.footer()
 	if _, err := w.f.Write(foot[:]); err != nil {
 		return fail(err)
 	}
 	return nil
 }
 
-func (w *StreamWriter) writeAt(p []byte, off int64) error {
-	if _, err := w.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	_, err := w.f.Write(p)
-	return err
-}
-
 // StreamReader decodes a CTRC v2 trace in bounded windows. Records are
-// validated exactly as Read validates them; the footer's length and
-// checksum are verified when the last record has been consumed, so a
-// caller that drains the stream gets the same loud-corruption contract
-// as Read. Callers that must reject corruption before acting on any
-// record (the trace cache) run Verify first — a cheap sequential pass.
+// validated as they are decoded; the footer's length and checksum are
+// verified when the last record has been consumed, so a caller that
+// drains the stream (Read does) gets the loud-corruption contract.
+// Callers that must reject corruption before acting on any record (the
+// trace cache) run Verify first — a cheap sequential pass.
 type StreamReader struct {
-	cr   *checksumReader
-	app  string
-	n    int // nodes
-	its  int
+	src  *bufio.Reader
+	tee  io.Reader // src, with every byte consumed fed into sum
+	sum  *payloadSum
+	hdr  header
 	left uint64
 	idx  uint64
 	done bool
@@ -182,51 +144,24 @@ type StreamReader struct {
 // NewStreamReader parses the header. The reader takes over r; records
 // come from Next.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	cr := &checksumReader{r: bufio.NewReaderSize(r, streamBufSize), sum: crc32.New(crcTable)}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	src := bufio.NewReaderSize(r, streamBufSize)
+	sum := newPayloadSum()
+	tee := io.TeeReader(src, sum)
+	hdr, err := readHeader(tee)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var hdr [14]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:]); v != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d); regenerate the trace with this build", v, Version)
-	}
-	sr := &StreamReader{
-		cr:  cr,
-		n:   int(binary.LittleEndian.Uint16(hdr[2:])),
-		its: int(binary.LittleEndian.Uint32(hdr[4:])),
-	}
-	app := make([]byte, binary.LittleEndian.Uint16(hdr[8:]))
-	if _, err := io.ReadFull(cr, app); err != nil {
-		return nil, fmt.Errorf("trace: reading app name: %w", err)
-	}
-	sr.app = string(app)
-	var cnt [8]byte
-	if _, err := io.ReadFull(cr, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	sr.left = binary.LittleEndian.Uint64(cnt[:])
-	const maxRecords = 1 << 31
-	if sr.left > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", sr.left)
-	}
-	return sr, nil
+	return &StreamReader{src: src, tee: tee, sum: sum, hdr: hdr, left: hdr.count}, nil
 }
 
 // App returns the workload name from the header.
-func (s *StreamReader) App() string { return s.app }
+func (s *StreamReader) App() string { return s.hdr.app }
 
 // Nodes returns the node count from the header.
-func (s *StreamReader) Nodes() int { return s.n }
+func (s *StreamReader) Nodes() int { return s.hdr.nodes }
 
 // Iterations returns the application-iteration count from the header.
-func (s *StreamReader) Iterations() int { return s.its }
+func (s *StreamReader) Iterations() int { return int(s.hdr.iters) }
 
 // Remaining returns how many records have not yet been read.
 func (s *StreamReader) Remaining() uint64 { return s.left }
@@ -247,21 +182,12 @@ func (s *StreamReader) Next(buf []Record) (int, error) {
 	}
 	var rec [recordSize]byte
 	for i := uint64(0); i < want; i++ {
-		if _, err := io.ReadFull(s.cr, rec[:]); err != nil {
+		if _, err := io.ReadFull(s.tee, rec[:]); err != nil {
 			return int(i), fmt.Errorf("trace: reading record %d: %w", s.idx, err)
 		}
-		r := Record{
-			Node:   coherence.NodeID(int16(binary.LittleEndian.Uint16(rec[0:]))),
-			Side:   Side(rec[2]),
-			Sender: coherence.NodeID(int16(binary.LittleEndian.Uint16(rec[3:]))),
-			Type:   coherence.MsgType(rec[5]),
-			Addr:   coherence.Addr(binary.LittleEndian.Uint64(rec[6:])),
-			Iter:   int32(binary.LittleEndian.Uint32(rec[14:])),
-		}
-		if r.Side >= numSides || !r.Type.Valid() ||
-			r.Node < 0 || (s.n > 0 && int(r.Node) >= s.n) ||
-			r.Sender < 0 || r.Sender >= 1<<12 || r.Iter < 0 {
-			return int(i), fmt.Errorf("trace: corrupt record %d: %+v", s.idx, r)
+		r, err := decodeRecord(&rec, s.idx, s.hdr.nodes, s.hdr.iters)
+		if err != nil {
+			return int(i), err
 		}
 		buf[i] = r
 		s.idx++
@@ -279,25 +205,9 @@ func (s *StreamReader) Next(buf []Record) (int, error) {
 	return int(want), nil
 }
 
-// checkFooter verifies the trailing length and checksum against what
-// the payload pass actually consumed.
-func (s *StreamReader) checkFooter() error {
-	payloadLen, payloadSum := s.cr.n, s.cr.sum.Sum32()
-	var foot [footerSize]byte
-	if _, err := io.ReadFull(s.cr, foot[:]); err != nil {
-		return fmt.Errorf("trace: reading footer (truncated file?): %w", err)
-	}
-	if string(foot[0:4]) != footerMagic {
-		return fmt.Errorf("trace: bad footer magic %q (truncated file?)", foot[0:4])
-	}
-	if wantLen := binary.LittleEndian.Uint64(foot[4:]); wantLen != payloadLen {
-		return fmt.Errorf("trace: payload length %d, footer says %d (truncated file?)", payloadLen, wantLen)
-	}
-	if wantSum := binary.LittleEndian.Uint32(foot[12:]); wantSum != payloadSum {
-		return fmt.Errorf("trace: payload checksum %#x, footer says %#x (corrupted file?)", payloadSum, wantSum)
-	}
-	return nil
-}
+// checkFooter verifies the trailing footer against what the payload
+// pass consumed; the footer itself is read past the tee.
+func (s *StreamReader) checkFooter() error { return s.sum.checkFooter(s.src) }
 
 // Verify makes one sequential pass over a CTRC v2 stream, checking the
 // header shape and the footer's length and checksum without decoding
@@ -308,8 +218,7 @@ func Verify(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	payload := sr.left * recordSize
-	if _, err := io.CopyN(io.Discard, sr.cr, int64(payload)); err != nil {
+	if _, err := io.CopyN(io.Discard, sr.tee, int64(sr.left*recordSize)); err != nil {
 		return fmt.Errorf("trace: verifying payload: %w", err)
 	}
 	return sr.checkFooter()

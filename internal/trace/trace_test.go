@@ -218,6 +218,12 @@ func TestReadRejectsHostileInputs(t *testing.T) {
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("accepted negative iteration")
 	}
+	// Iteration at or past the header's count: it would size every
+	// evaluator's per-iteration array.
+	bad = mutate(func(tr *Trace) { tr.Records[0].Iter = 1 << 22 })
+	if _, err := Read(bytes.NewReader(bad)); err == nil {
+		t.Error("accepted iteration beyond header count")
+	}
 	// Giant record count with a tiny body: must fail on the short read,
 	// not by allocating count*recordSize bytes.
 	var buf bytes.Buffer
