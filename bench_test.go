@@ -527,7 +527,7 @@ func BenchmarkEvaluateThroughputSharded(b *testing.B) {
 // limited-pointer overflow. B/op is the headline: the streaming path's
 // allocations must stay flat as nodes grow.
 func BenchmarkScaleSweep(b *testing.B) {
-	for _, nodes := range []int{64, 256, 1024} {
+	for _, nodes := range experiments.ScaleBenchNodes {
 		b.Run(fmt.Sprintf("nodes%d", nodes), func(b *testing.B) {
 			cfg := experiments.DefaultConfig()
 			cfg.Scale = benchScale(b, workload.ScaleSmall)
@@ -541,7 +541,7 @@ func BenchmarkScaleSweep(b *testing.B) {
 			var res *stats.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = s.EvaluateStreamed("dsmc", core.Config{Depth: 1}, stats.StreamOptions{})
+				res, err = s.EvaluateStreamed(experiments.ScaleBenchApp, core.Config{Depth: 1}, stats.StreamOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -72,7 +72,7 @@ func run(w io.Writer, args []string) error {
 		inv     = fs.Bool("invariants", false, "run every simulation with the runtime coherence invariant monitor")
 		workers = fs.Int("workers", parallel.DefaultWorkers(), "worker pool size for independent experiment cells (1 = serial)")
 		tcache  = fs.String("trace-cache", "", "directory for the content-addressed trace cache (reuse simulated traces across runs)")
-		warm    = fs.Bool("warm-cache", false, "simulate and cache every benchmark trace, then exit (requires -trace-cache)")
+		warm    = fs.Bool("warm-cache", false, "simulate and cache every trace the benchmarks read (the benchmark traces and the streamed scale-sweep cells), then exit (requires -trace-cache)")
 		nodes   = fs.String("nodes", "", "machine node count; with -extra scalesweep, a comma-separated sweep axis (e.g. 16,64,256,1024)")
 		dirFmt  = fs.String("dir-format", "", "directory sharer-set format: full-map | limited | coarse (default: full-map)")
 		topo    = fs.String("topology", "", "interconnect topology: all-to-all | mesh | torus (default: ideal all-to-all)")
@@ -174,9 +174,9 @@ func run(w io.Writer, args []string) error {
 		if *tcache == "" {
 			return fmt.Errorf("-warm-cache requires -trace-cache")
 		}
-		// Prefetch simulates (or cache-loads) every benchmark; Trace
-		// stores each fresh capture, so this leaves the cache complete.
-		return suite.Prefetch()
+		// Warm simulates (or cache-loads) the benchmark traces and the
+		// streamed scale-sweep cells, storing each fresh capture.
+		return suite.Warm()
 	}
 
 	// The table drivers share the five benchmark traces; simulate them

@@ -390,6 +390,7 @@ func (p *Predictor) Config() Config { return p.cfg }
 // when Cosmos has no prediction: the block is unknown, fewer than
 // depth messages have been seen, or the current history pattern has no
 // PHT entry yet.
+//
 //cosmosvet:hotpath
 func (p *Predictor) Predict(addr coherence.Addr) (pred coherence.Tuple, ok bool) {
 	bs := p.block(addr)
@@ -408,6 +409,7 @@ func (p *Predictor) Predict(addr coherence.Addr) (pred coherence.Tuple, ok bool)
 // history and shifts the tuple into the MHR (Section 3.4). PHTs are
 // allocated lazily, so blocks with fewer protocol references than the
 // MHR depth never own one (the Table 7 accounting convention).
+//
 //cosmosvet:hotpath
 func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
 	p.updateIndexed(addr, actual, actual)
@@ -420,6 +422,7 @@ func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
 // tuple. It is equivalent to Predict followed by Update but probes the
 // block table and the PHT once instead of twice — the trace
 // evaluators spend most of their time here.
+//
 //cosmosvet:hotpath
 func (p *Predictor) Observe(addr coherence.Addr, actual coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
 	return p.observeIndexed(addr, actual, actual)

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"github.com/cosmos-coherence/cosmos/internal/core"
+	"github.com/cosmos-coherence/cosmos/internal/faults"
 	"github.com/cosmos-coherence/cosmos/internal/machine"
 	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/sim"
@@ -54,11 +55,17 @@ type Config struct {
 // configuration. The key hashes a %#v rendering of the inputs — all
 // flat structs, no maps, so the rendering is deterministic — plus the
 // CTRC format version, so codec bumps invalidate stale entries instead
-// of tripping the version check.
+// of tripping the version check. A disabled fault plan attaches no
+// injector, so its seed cannot change the trace and is left out: the
+// commands' -fault-seed default of 1 and a zero Plan share entries.
 func (c Config) traceKey(app string) string {
+	m := c.Machine
+	if !m.Faults.Enabled() {
+		m.Faults = faults.Plan{}
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "ctrc-v%d|app=%s|scale=%d|machine=%#v|stache=%#v",
-		trace.Version, app, c.Scale, c.Machine, c.Stache)
+		trace.Version, app, c.Scale, m, c.Stache)
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
+	"github.com/cosmos-coherence/cosmos/internal/stache"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
@@ -229,8 +230,48 @@ func TestTraceCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWarmCoversBenchmarkTraces: Warm leaves a cache entry for every
+// trace the benchmarks read, so none of them captures inside a timed
+// run: the suite's benchmark traces and BenchmarkScaleSweep's streamed
+// cells, keyed the way the benchmark configures them.
+func TestWarmCoversBenchmarkTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the benchmark traces")
+	}
+	bench := DefaultConfig()
+	bench.Scale = workload.ScaleSmall
+	bench.TraceCache = t.TempDir()
+	warm := bench
+	warm.Machine.Faults.Seed = 1 // the commands' -fault-seed default
+	s := NewSuite(warm)
+	if err := s.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, app := range s.Apps() {
+		want[bench.traceKey(app)+".ctrc"] = true
+	}
+	for _, n := range ScaleBenchNodes {
+		cell := bench
+		cell.Machine.Nodes = n
+		cell.Stache.DirFormat = stache.DirLimitedPtr
+		want[cell.traceKey(ScaleBenchApp)+".ctrc"] = true
+	}
+	entries, err := os.ReadDir(bench.TraceCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range entries {
+		got[e.Name()] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("warmed cache holds %v, want %v", got, want)
+	}
+}
+
 // TestTraceCacheKeySensitivity: anything that changes the trace
-// changes the key; the pool width does not.
+// changes the key; the pool width and a disabled plan's seed do not.
 func TestTraceCacheKeySensitivity(t *testing.T) {
 	base := DefaultConfig()
 	k := base.traceKey("dsmc")
@@ -246,6 +287,21 @@ func TestTraceCacheKeySensitivity(t *testing.T) {
 	machine.Machine.Nodes = 4
 	if machine.traceKey("dsmc") == k {
 		t.Error("key ignores the machine configuration")
+	}
+	seeded := base
+	seeded.Machine.Faults.Seed = 1
+	if seeded.traceKey("dsmc") != k {
+		t.Error("key depends on the seed of a disabled fault plan, which never changes the trace")
+	}
+	lossy := seeded
+	lossy.Machine.Faults.DropProb = 0.01
+	if lossy.traceKey("dsmc") == k {
+		t.Error("key ignores an enabled fault plan")
+	}
+	reseeded := lossy
+	reseeded.Machine.Faults.Seed = 2
+	if reseeded.traceKey("dsmc") == lossy.traceKey("dsmc") {
+		t.Error("key ignores the seed of an enabled fault plan")
 	}
 	pooled := base
 	pooled.Workers = 8

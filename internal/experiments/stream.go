@@ -6,6 +6,8 @@ import (
 
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/machine"
+	"github.com/cosmos-coherence/cosmos/internal/parallel"
+	"github.com/cosmos-coherence/cosmos/internal/stache"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/tracecache"
@@ -39,6 +41,36 @@ func (s *Suite) EvaluateStreamed(name string, pcfg core.Config, opts stats.Strea
 			sr.App(), sr.Nodes(), name, s.cfg.Machine.Nodes)
 	}
 	return stats.EvaluateStream(sr, sr.App(), sr.Nodes(), pcfg, opts)
+}
+
+// ScaleBenchApp and ScaleBenchNodes name the streamed cells
+// BenchmarkScaleSweep evaluates: one benchmark at each node count, with
+// limited-pointer directories and otherwise the suite's configuration.
+const ScaleBenchApp = "dsmc"
+
+// ScaleBenchNodes is BenchmarkScaleSweep's node-count axis.
+var ScaleBenchNodes = []int{64, 256, 1024}
+
+// Warm fills the suite's trace cache with every trace the benchmarks
+// read: the benchmark traces Prefetch captures, then the streamed
+// ScaleBenchApp cells at ScaleBenchNodes that BenchmarkScaleSweep
+// opens, storing each in the suite's TraceCache. A benchmark run
+// against the warmed cache times no capture.
+func (s *Suite) Warm() error {
+	if err := s.Prefetch(); err != nil {
+		return err
+	}
+	return parallel.ForEach(len(ScaleBenchNodes), s.workers, func(i int) error {
+		cfg := s.cfg
+		cfg.Machine.Nodes = ScaleBenchNodes[i]
+		cfg.Stache.DirFormat = stache.DirLimitedPtr
+		_, cleanup, err := NewSuite(cfg).openStream(ScaleBenchApp)
+		if err != nil {
+			return fmt.Errorf("experiments: warming the %d-node %s cell: %w", cfg.Machine.Nodes, ScaleBenchApp, err)
+		}
+		cleanup()
+		return nil
+	})
 }
 
 // openStream returns an open CTRC file for the benchmark positioned at

@@ -143,11 +143,11 @@ func TestBlackout(t *testing.T) {
 		now      uint64
 		drop     bool
 	}{
-		{1, 2, 150, true},   // inside the window
-		{1, 2, 99, false},   // before
-		{1, 2, 200, false},  // at the exclusive end
-		{2, 1, 150, false},  // reverse link unaffected
-		{0, 3, 0, true},     // wildcard src
+		{1, 2, 150, true},  // inside the window
+		{1, 2, 99, false},  // before
+		{1, 2, 200, false}, // at the exclusive end
+		{2, 1, 150, false}, // reverse link unaffected
+		{0, 3, 0, true},    // wildcard src
 		{5, 3, 1 << 40, true},
 		{3, 0, 150, false},
 	}

@@ -20,7 +20,6 @@ package reliable
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/network"
@@ -92,21 +91,34 @@ type outstanding struct {
 	sentAt  sim.Time
 }
 
+// heldFrame is one reorder-window slot; ok marks a frame that arrived.
+type heldFrame struct {
+	msg coherence.Msg
+	ok  bool
+}
+
 // link is the per-(src,dst) transport state. The sender-side fields
 // live with the source node, the receiver-side fields with the
 // destination; both sides of one directed link share this struct
-// because the whole simulation runs in one process.
+// because the whole simulation runs in one process. Both sides keep a
+// window of values indexed by sequence number: cumulative acks retire
+// a prefix of the unacked frames and in-order arrival releases a
+// prefix of the held ones, so each window only ever shifts its front.
 type link struct {
 	src, dst coherence.NodeID
 
-	// Sender side.
+	// Sender side: unacked[i] is frame nextSend-len(unacked)+1+i.
 	nextSend uint64 // last assigned sequence number (first frame is 1)
-	unacked  map[uint64]*outstanding
+	unacked  []outstanding
 
-	// Receiver side.
+	// Receiver side: held[i] is frame delivered+2+i (frame
+	// delivered+1 is the gap; it is released the moment it arrives).
 	delivered uint64 // highest sequence released in order
-	held      map[uint64]coherence.Msg
+	held      []heldFrame
 }
+
+// acked returns the highest frame number the sender knows delivered.
+func (l *link) acked() uint64 { return l.nextSend - uint64(len(l.unacked)) }
 
 // Inflight describes one unacknowledged frame, for diagnostics.
 type Inflight struct {
@@ -136,11 +148,6 @@ type Transport struct {
 	// EventRec carries the link (Src, Dst) and frame number (Seq), so
 	// arming a timer allocates nothing.
 	kindRetx sim.EventKind
-	// outFree recycles retransmit records: acknowledged frames return
-	// their *outstanding here and the next Send reuses it, so a steady
-	// stream of frames stops allocating once the high-water mark of
-	// concurrently unacked frames has been reached.
-	outFree []*outstanding
 }
 
 // New layers a reliable transport over nw, claiming every node's
@@ -211,12 +218,7 @@ func (t *Transport) linkFor(src, dst coherence.NodeID) *link {
 	l := t.links[i]
 	if l == nil {
 		//cosmosvet:allow hotpath one-time link state creation on first use of a (src, dst) pair
-		l = &link{
-			src:     src,
-			dst:     dst,
-			unacked: make(map[uint64]*outstanding),
-			held:    make(map[uint64]coherence.Msg),
-		}
+		l = &link{src: src, dst: dst}
 		t.links[i] = l
 	}
 	return l
@@ -239,10 +241,8 @@ func (t *Transport) Undelivered() int {
 		// Frames held in the reorder buffer are still unacknowledged too
 		// (cumulative acks cover only released frames), so counting
 		// unacked frames beyond the release point covers both kinds.
-		for ts := range l.unacked {
-			if ts > l.delivered {
-				n++
-			}
+		if from := max(l.acked(), l.delivered); l.nextSend > from {
+			n += int(l.nextSend - from)
 		}
 	}
 	return n
@@ -256,15 +256,9 @@ func (t *Transport) Inflight() []Inflight {
 		if l == nil {
 			continue
 		}
-		seqs := make([]uint64, 0, len(l.unacked))
-		for ts := range l.unacked {
-			seqs = append(seqs, ts)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, ts := range seqs {
-			o := l.unacked[ts]
+		for i, o := range l.unacked {
 			out = append(out, Inflight{
-				Src: l.src, Dst: l.dst, TSeq: ts,
+				Src: l.src, Dst: l.dst, TSeq: l.acked() + 1 + uint64(i),
 				Retries: o.retries, SentAt: o.sentAt, Msg: o.msg,
 			})
 		}
@@ -284,39 +278,19 @@ func (t *Transport) Send(msg coherence.Msg) {
 	}
 	l := t.linkFor(msg.Src, msg.Dst)
 	l.nextSend++
-	ts := l.nextSend
-	o := t.getOutstanding()
-	o.msg, o.backoff, o.sentAt = msg, t.timeout, t.engine.Now()
-	l.unacked[ts] = o
+	//cosmosvet:allow hotpath window growth to a new peak of unacked frames; acks shift it back down in place
+	l.unacked = append(l.unacked, outstanding{msg: msg, backoff: t.timeout, sentAt: t.engine.Now()})
 	t.stats.DataSent++
-	t.net.SendPacket(network.Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg, TSeq: ts})
-	t.armTimer(l, ts)
+	t.net.SendPacket(network.Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg, TSeq: l.nextSend})
+	t.armTimer(l, l.nextSend, t.timeout)
 }
 
-// getOutstanding takes a retransmit record from the free list, or
-// allocates one the first time the in-flight window grows this deep.
+// armTimer schedules the retransmit check for frame ts on l after
+// backoff.
 //
 //cosmosvet:hotpath
-func (t *Transport) getOutstanding() *outstanding {
-	if n := len(t.outFree); n > 0 {
-		o := t.outFree[n-1]
-		t.outFree[n-1] = nil
-		t.outFree = t.outFree[:n-1]
-		*o = outstanding{}
-		return o
-	}
-	//cosmosvet:allow hotpath retransmit-record arena growth; acked frames recycle through outFree
-	return &outstanding{}
-}
-
-// armTimer schedules the retransmit check for frame ts on l, using the
-// frame's current backoff.
-//
-//cosmosvet:hotpath
-func (t *Transport) armTimer(l *link, ts uint64) {
-	t.engine.PostAfter(l.unacked[ts].backoff, sim.EventRec{
-		Kind: t.kindRetx, Src: l.src, Dst: l.dst, Seq: ts,
-	})
+func (t *Transport) armTimer(l *link, ts uint64, backoff sim.Time) {
+	t.engine.PostAfter(backoff, sim.EventRec{Kind: t.kindRetx, Src: l.src, Dst: l.dst, Seq: ts})
 }
 
 // handleRetx fires a retransmit timer delivered as a value-typed
@@ -330,10 +304,10 @@ func (t *Transport) handleRetx(rec sim.EventRec) {
 // timerFired retransmits frame ts if it is still unacknowledged,
 // doubling its backoff; after maxRetries the link is declared dead.
 func (t *Transport) timerFired(l *link, ts uint64) {
-	o, ok := l.unacked[ts]
-	if !ok || t.failure != nil {
+	if ts <= l.acked() || t.failure != nil {
 		return // acked meanwhile, or the run is already failing
 	}
+	o := &l.unacked[ts-l.acked()-1]
 	if o.retries >= t.maxRetries {
 		//cosmosvet:allow hotpath link-death diagnostic; the run is already failing
 		t.fail(&LinkDeadError{
@@ -349,7 +323,7 @@ func (t *Transport) timerFired(l *link, ts uint64) {
 	}
 	t.stats.Retransmits++
 	t.net.SendPacket(network.Packet{Src: l.src, Dst: l.dst, Msg: o.msg, TSeq: ts, Retx: true})
-	t.armTimer(l, ts)
+	t.armTimer(l, ts, o.backoff)
 }
 
 // fail records the first hard failure and notifies the machine.
@@ -386,21 +360,24 @@ func (t *Transport) receive(pkt network.Packet) {
 
 	case pkt.TSeq == l.delivered+1:
 		t.release(l, pkt.Msg)
-		// Drain any frames the gap was holding back.
-		for {
-			m, ok := l.held[l.delivered+1]
-			if !ok {
-				break
-			}
-			delete(l.held, l.delivered+1)
-			t.release(l, m)
+		// Drain any frames the gap was holding back, then shift the
+		// window past them and the gap that was just filled.
+		n := 0
+		for n < len(l.held) && l.held[n].ok {
+			t.release(l, l.held[n].msg)
+			n++
 		}
+		l.held = l.held[:copy(l.held, l.held[min(n+1, len(l.held)):])]
 
 	default: // ahead of a gap: buffer
-		if _, ok := l.held[pkt.TSeq]; ok {
+		i := int(pkt.TSeq - l.delivered - 2)
+		for len(l.held) <= i {
+			l.held = append(l.held, heldFrame{})
+		}
+		if l.held[i].ok {
 			t.stats.DupsDiscarded++
 		} else {
-			l.held[pkt.TSeq] = pkt.Msg
+			l.held[i] = heldFrame{msg: pkt.Msg, ok: true}
 			t.stats.HeldOutOfOrder++
 		}
 	}
@@ -423,10 +400,8 @@ func (t *Transport) release(l *link, msg coherence.Msg) {
 func (t *Transport) handleAck(pkt network.Packet) {
 	t.stats.AcksRecv++
 	l := t.linkFor(pkt.Dst, pkt.Src)
-	for ts, o := range l.unacked {
-		if ts <= pkt.TSeq {
-			delete(l.unacked, ts)
-			t.outFree = append(t.outFree, o)
-		}
+	if pkt.TSeq > l.acked() {
+		n := min(pkt.TSeq-l.acked(), uint64(len(l.unacked)))
+		l.unacked = l.unacked[:copy(l.unacked, l.unacked[n:])]
 	}
 }

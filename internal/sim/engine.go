@@ -16,9 +16,14 @@
 // constants — go into a timing wheel: wheelSpan slots of one
 // nanosecond each, indexed by `at & wheelMask`, with a slot-occupancy
 // bitmap scanned from `now` so the next event is found in O(words)
-// regardless of queue depth. Far timers (retransmit backoff tails,
-// barrier latencies at large node counts, watchdog deadlines) overflow
-// into the typed binary heap the engine always had. Nothing ever
+// regardless of queue depth. A slot is only a head/tail link into one
+// shared item pool, so the wheel costs a 32 KB slot table plus a pool
+// as deep as the peak of pending events (poolCap0 entries at first),
+// and freed entries are reused last-in first-out while they are still
+// warm in cache. Far timers
+// (retransmit backoff tails, barrier latencies at large node counts,
+// watchdog deadlines) overflow into the typed binary heap the engine
+// always had. Nothing ever
 // migrates between the two: Step compares the wheel's earliest item
 // with the overflow top by (time, seq) and fires the smaller, so the
 // merged order is exactly the order the single heap produced.
@@ -126,25 +131,25 @@ const (
 	wheelMask = int(wheelSpan - 1)
 	wheelSize = int(wheelSpan)
 	occWords  = wheelSize / 64
-	// slotCap0 is the initial per-slot capacity, carved out of one
-	// shared backing array at wheel setup: a slot that never holds more
-	// than slotCap0 simultaneous events never allocates on its own.
-	// It is odd on purpose: with 64-byte items, growth from 4 doubles
-	// through power-of-two arrays aligned to their size, putting the
-	// same index of every slot in one cache set (BenchmarkEngine ran
-	// three times slower).
-	slotCap0 = 5
+	// poolCap0 is the item pool's initial capacity. The largest
+	// per-engine peak of wheel-resident events measured on the 16-node
+	// workloads is 132 (chaos sweeps of seeds 1-900 with speculation;
+	// full-scale table captures peak at 92, the serve traffic at 115),
+	// and 256 is the next power of two, so those runs never grow the
+	// pool while a fresh engine stays under 50 KB. A 1024-node mesh
+	// peaks at 1024 and grows the pool by append.
+	poolCap0 = 256
 )
 
-// wheelSlot is one wheel bucket: an append-ordered run of items with
-// head marking the next unfired entry. Because the live window
-// [now, now+wheelSpan) maps injectively onto slots, every item in a
-// nonempty slot shares a single firing time, and because global
-// scheduling order is seq order, appends keep each slot FIFO-sorted
-// with no per-insert comparison at all.
+// wheelSlot is one wheel bucket: a singly linked FIFO of pool entries
+// from head to tail, linked through Engine.next. Index 0 is the nil
+// link (pool entry 0 is never used), so the zero slot is empty.
+// Because the live window [now, now+wheelSpan) maps injectively onto
+// slots, every item in a nonempty slot shares a single firing time,
+// and because global scheduling order is seq order, appending at the
+// tail keeps each slot FIFO-sorted with no per-insert comparison.
 type wheelSlot struct {
-	head  int
-	items []item
+	head, tail int32
 }
 
 // Perturb is a bounded scheduling perturbation: given the nominal
@@ -172,11 +177,17 @@ type Engine struct {
 	// indexed by EventKind.
 	handlers []Handler
 
-	// slots/occ/wheelCount form the timing wheel; slots is allocated
-	// lazily on the first scheduled event so a zero Engine stays cheap.
+	// slots/occ/wheelCount form the timing wheel. slots, pool and
+	// next are allocated lazily on the first scheduled event so a zero
+	// Engine stays cheap; occ is an inline bitmap. pool holds every
+	// wheel-resident item, next links each pool entry to its successor
+	// in its slot (or, once fired, on the free list headed by free).
 	slots      []wheelSlot
-	occ        []uint64
+	occ        [occWords]uint64
 	wheelCount int
+	pool       []item
+	next       []int32
+	free       int32
 
 	// overflow holds events beyond the wheel horizon. With heapOnly
 	// set it holds everything — the pure-heap reference scheduler the
@@ -219,8 +230,7 @@ func (e *Engine) Pending() int { return e.wheelCount + len(e.overflow) }
 func (e *Engine) NextAt() (at Time, ok bool) {
 	idx, wOk := e.wheelPeek()
 	if wOk {
-		s := &e.slots[idx]
-		at, ok = s.items[s.head].at, true
+		at, ok = e.pool[e.slots[idx].head].at, true
 	}
 	if len(e.overflow) > 0 && (!ok || e.overflow[0].at < at) {
 		at, ok = e.overflow[0].at, true
@@ -264,29 +274,43 @@ func (e *Engine) Post(at Time, rec EventRec) {
 func (e *Engine) PostAfter(delay Time, rec EventRec) { e.Post(e.now+delay, rec) }
 
 // initWheel performs the one-time lazy wheel allocation: the slot
-// table, the occupancy bitmap, and one shared backing array carved
-// into slotCap0-item runs so shallow slots never allocate individually.
+// table and the item pool with its links, whose entry 0 is the
+// reserved nil link.
 func (e *Engine) initWheel() {
 	//cosmosvet:allow hotpath one-time lazy wheel allocation on the first scheduled event
 	e.slots = make([]wheelSlot, wheelSize)
 	//cosmosvet:allow hotpath one-time lazy wheel allocation on the first scheduled event
-	e.occ = make([]uint64, occWords)
+	e.pool = make([]item, 1, poolCap0)
 	//cosmosvet:allow hotpath one-time lazy wheel allocation on the first scheduled event
-	backing := make([]item, wheelSize*slotCap0)
-	for i := range e.slots {
-		e.slots[i].items = backing[i*slotCap0 : i*slotCap0 : (i+1)*slotCap0]
-	}
+	e.next = make([]int32, 1, poolCap0)
 }
 
-// wheelAdd appends it to its slot and marks the slot occupied.
+// wheelAdd stores it in a pool entry, reusing the most recently freed
+// one, links the entry at its slot's tail and marks the slot occupied.
 //
 //cosmosvet:hotpath
 func (e *Engine) wheelAdd(it item) {
+	p := e.free
+	if p != 0 {
+		e.free = e.next[p]
+		e.pool[p] = it
+		e.next[p] = 0
+	} else {
+		p = int32(len(e.pool))
+		//cosmosvet:allow hotpath pool growth to a new peak of pending events; fired entries are reused
+		e.pool = append(e.pool, it)
+		//cosmosvet:allow hotpath link growth alongside the pool; fired entries are reused
+		e.next = append(e.next, 0)
+	}
 	idx := int(it.at) & wheelMask
 	s := &e.slots[idx]
-	//cosmosvet:allow hotpath amortized slot growth; steady state reuses the backing array
-	s.items = append(s.items, it)
-	e.occ[idx>>6] |= 1 << uint(idx&63)
+	if s.head == 0 {
+		s.head = p
+		e.occ[idx>>6] |= 1 << uint(idx&63)
+	} else {
+		e.next[s.tail] = p
+	}
+	s.tail = p
 	e.wheelCount++
 }
 
@@ -323,21 +347,22 @@ func (e *Engine) wheelPeek() (idx int, ok bool) {
 	panic("sim: wheel count positive but no occupied slot")
 }
 
-// wheelPop removes and returns the head item of slot idx, releasing
-// the slot (and its occupancy bit) when it empties. The backing array
-// is kept for reuse, so steady state recycles slot storage instead of
-// allocating.
+// wheelPop removes and returns the head item of slot idx, clearing
+// the slot's occupancy bit when it empties, and pushes the item's pool
+// entry onto the free list, so steady state recycles pool entries
+// instead of allocating.
 //
 //cosmosvet:hotpath
 func (e *Engine) wheelPop(idx int) item {
 	s := &e.slots[idx]
-	it := s.items[s.head]
-	s.head++
-	if s.head == len(s.items) {
-		s.items = s.items[:0]
-		s.head = 0
+	p := s.head
+	it := e.pool[p]
+	s.head = e.next[p]
+	if s.head == 0 {
 		e.occ[idx>>6] &^= 1 << uint(idx&63)
 	}
+	e.next[p] = e.free
+	e.free = p
 	e.wheelCount--
 	return it
 }
@@ -353,8 +378,7 @@ func (e *Engine) pop() item {
 	if !wOk {
 		return e.overflow.pop()
 	}
-	s := &e.slots[idx]
-	if len(e.overflow) > 0 && e.overflow[0].less(s.items[s.head]) {
+	if len(e.overflow) > 0 && e.overflow[0].less(e.pool[e.slots[idx].head]) {
 		return e.overflow.pop()
 	}
 	return e.wheelPop(idx)
